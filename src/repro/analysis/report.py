@@ -77,6 +77,7 @@ def format_metrics_summary(summary: Dict) -> str:
         rows += [
             ["scheduler columns vectorized", d.get("sched_batch_fast", 0)],
             ["scheduler columns fallback", d.get("sched_batch_fallbacks", 0)],
+            ["scheduler rounds", d.get("sched_batch_rounds", 0)],
         ]
     if d.get("memo_evictions", 0):
         rows.append(["memo evictions", d.get("memo_evictions", 0)])
@@ -115,8 +116,6 @@ def format_metrics_summary(summary: Dict) -> str:
         if d.get("search_surrogate_rank_calls", 0):
             rows.append(["surrogate ranking fits",
                          d.get("search_surrogate_rank_calls", 0)])
-    if d.get("sched_jit_calls", 0):
-        rows.append(["JIT-scheduled phases", d.get("sched_jit_calls", 0)])
     out = [format_rows("sweep execution metrics", ["metric", "value"], rows)]
     timers = summary.get("timers", {})
     if timers:

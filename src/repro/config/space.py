@@ -13,6 +13,7 @@ stable ordering produced here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -28,6 +29,13 @@ __all__ = ["DesignSpace", "axis_linspace", "axis_range",
 
 #: Axis names in canonical iteration order (outermost first).
 AXES: Tuple[str, ...] = ("core", "cache", "memory", "frequency", "vector", "cores")
+
+#: Axis name -> the :class:`DesignSpace` field holding its values.
+_AXIS_FIELDS: Dict[str, str] = {
+    "core": "core_labels", "cache": "cache_labels",
+    "memory": "memory_labels", "frequency": "frequencies",
+    "vector": "vector_widths", "cores": "core_counts",
+}
 
 
 def axis_range(start, stop, step) -> Tuple:
@@ -85,26 +93,21 @@ class DesignSpace:
                 raise ValueError(f"axis {name!r} must have at least one value")
             if len(set(self._axis(name))) != len(self._axis(name)):
                 raise ValueError(f"axis {name!r} has duplicate values")
+        # The instance is frozen, so its shape is computed once; these
+        # are plain attributes, not fields (eq/hash/repr ignore them).
+        lengths = tuple(len(self._axis(name)) for name in AXES)
+        object.__setattr__(self, "_lengths", lengths)
+        object.__setattr__(self, "_size", math.prod(lengths))
 
     def _axis(self, name: str) -> Sequence:
-        return {
-            "core": self.core_labels,
-            "cache": self.cache_labels,
-            "memory": self.memory_labels,
-            "frequency": self.frequencies,
-            "vector": self.vector_widths,
-            "cores": self.core_counts,
-        }[name]
+        return getattr(self, _AXIS_FIELDS[name])
 
     def axis_values(self, name: str) -> Tuple:
         """Values explored along one named axis."""
         return tuple(self._axis(name))
 
     def __len__(self) -> int:
-        n = 1
-        for name in AXES:
-            n *= len(self._axis(name))
-        return n
+        return self._size
 
     def __iter__(self) -> Iterator[NodeConfig]:
         for core, cache, mem, freq, vec, ncores in product(
@@ -126,7 +129,7 @@ class DesignSpace:
 
     def axis_lengths(self) -> Tuple[int, ...]:
         """Per-axis value counts in canonical :data:`AXES` order."""
-        return tuple(len(self._axis(name)) for name in AXES)
+        return self._lengths
 
     def coords_at(self, index: int) -> Tuple[int, ...]:
         """Mixed-radix decode of a flat index into per-axis coordinates.
@@ -134,18 +137,18 @@ class DesignSpace:
         Row-major over :data:`AXES` (cores fastest-varying), matching
         ``__iter__``'s ``itertools.product`` order exactly.
         """
-        n = len(self)
+        n = self._size
         if not 0 <= index < n:
             raise IndexError(f"index {index} out of range for {n}-point space")
         coords = []
-        for length in reversed(self.axis_lengths()):
+        for length in reversed(self._lengths):
             index, c = divmod(index, length)
             coords.append(c)
         return tuple(reversed(coords))
 
     def index_of(self, coords: Sequence[int]) -> int:
         """Inverse of :meth:`coords_at`."""
-        lengths = self.axis_lengths()
+        lengths = self._lengths
         if len(coords) != len(lengths):
             raise ValueError(f"expected {len(lengths)} coords, got {coords}")
         index = 0
@@ -180,13 +183,8 @@ class DesignSpace:
         subset used for the PCA study (Sec. V-C).
         """
         kwargs: Dict[str, Tuple] = {}
-        mapping = {
-            "core": "core_labels", "cache": "cache_labels",
-            "memory": "memory_labels", "frequency": "frequencies",
-            "vector": "vector_widths", "cores": "core_counts",
-        }
         for axis, value in fixed.items():
-            if axis not in mapping:
+            if axis not in _AXIS_FIELDS:
                 raise KeyError(f"unknown axis {axis!r}; valid axes: {AXES}")
             values = value if isinstance(value, (tuple, list)) else (value,)
             for v in values:
@@ -194,15 +192,8 @@ class DesignSpace:
                     raise ValueError(
                         f"value {v!r} not in axis {axis!r} ({self._axis(axis)})"
                     )
-            kwargs[mapping[axis]] = tuple(values)
-        current = {
-            "core_labels": self.core_labels,
-            "cache_labels": self.cache_labels,
-            "memory_labels": self.memory_labels,
-            "frequencies": self.frequencies,
-            "vector_widths": self.vector_widths,
-            "core_counts": self.core_counts,
-        }
+            kwargs[_AXIS_FIELDS[axis]] = tuple(values)
+        current = {f: getattr(self, f) for f in _AXIS_FIELDS.values()}
         current.update(kwargs)
         return DesignSpace(**current)
 

@@ -368,49 +368,39 @@ class BatchEvaluator:
                 break
 
         # ------- node-level event totals, accumulated in task order ----------
-        instr_cols = np.stack(
-            [timing_cols[k].instructions for k in kernel_names])
-        l1_cols = np.stack([timing_cols[k].l1_accesses for k in kernel_names])
-        l2_cols = np.stack([timing_cols[k].l2_accesses for k in kernel_names])
-        l3_cols = np.stack([timing_cols[k].l3_accesses for k in kernel_names])
-        dram_cols = np.stack(
-            [timing_cols[k].dram_accesses for k in kernel_names])
-        bytes_cols = np.stack([timing_cols[k].dram_bytes for k in kernel_names])
-        flops_per_kernel = [timing_cols[k].scalar_flops for k in kernel_names]
-        # Scalar computes (sig.row_hit_rate * dram_bytes) * w and
+        # Per kernel, the 8 per-config quantities the scalar path sums per
+        # task.  Scalar computes (sig.row_hit_rate * dram_bytes) * w and
         # (store/mem * l1_accesses) * w per task; hoist the per-kernel
         # left factor, keep the * w and the accumulation per task.
-        rhb_cols = np.stack([
-            detailed[k].row_hit_rate * timing_cols[k].dram_bytes
-            for k in kernel_names])
-        ratios = []
-        for k in kernel_names:
+        per_kernel = np.empty((8, len(kernel_names), n_configs))
+        for j, k in enumerate(kernel_names):
+            t = timing_cols[k]
             mix = detailed[k].mix
-            ratios.append(mix.store / mix.mem if mix.mem > 0 else 0.0)
-        sw_cols = np.stack(
-            [ratios[j] * l1_cols[j] for j in range(len(kernel_names))])
-
-        tot_instr = np.zeros(n_configs)
-        tot_l1 = np.zeros(n_configs)
-        tot_l2 = np.zeros(n_configs)
-        tot_l3 = np.zeros(n_configs)
-        tot_dram = np.zeros(n_configs)
-        tot_bytes = np.zeros(n_configs)
-        row_hit_w = np.zeros(n_configs)
-        store_w = np.zeros(n_configs)
-        tot_flops = 0.0  # config-invariant: same accumulation, computed once
-        for t_i in range(inv.n_tasks):
-            j = kidx[t_i]
-            w = inv.work[t_i]
-            tot_instr = tot_instr + instr_cols[j] * w
-            tot_flops += flops_per_kernel[j] * w
-            tot_l1 = tot_l1 + l1_cols[j] * w
-            tot_l2 = tot_l2 + l2_cols[j] * w
-            tot_l3 = tot_l3 + l3_cols[j] * w
-            tot_dram = tot_dram + dram_cols[j] * w
-            tot_bytes = tot_bytes + bytes_cols[j] * w
-            row_hit_w = row_hit_w + rhb_cols[j] * w
-            store_w = store_w + sw_cols[j] * w
+            ratio = mix.store / mix.mem if mix.mem > 0 else 0.0
+            per_kernel[:, j] = (t.instructions, t.l1_accesses, t.l2_accesses,
+                                t.l3_accesses, t.dram_accesses, t.dram_bytes,
+                                detailed[k].row_hit_rate * t.dram_bytes,
+                                ratio * t.l1_accesses)
+        # Row 0 stays zero and row i+1 holds task i's term col[j] * w;
+        # accumulate runs left to right, so every column gets the scalar
+        # tot = tot + col[j] * w sequence, in task order.  One quantity
+        # at a time keeps the block at (n_tasks + 1, n_configs).
+        terms = np.zeros((inv.n_tasks + 1, n_configs))
+        totals = []
+        for quantity in per_kernel:
+            # mode="clip" (kidx is always in range) writes straight into
+            # out; the default mode buffers a copy of the whole block.
+            np.take(quantity, kidx, axis=0, out=terms[1:], mode="clip")
+            terms[1:] *= inv.work_arr[:, None]
+            np.add.accumulate(terms, axis=0, out=terms)
+            totals.append(terms[-1].copy())
+        (tot_instr, tot_l1, tot_l2, tot_l3, tot_dram, tot_bytes, row_hit_w,
+         store_w) = totals
+        # Config-invariant: the same accumulation, computed once.
+        flops = np.zeros(inv.n_tasks + 1)
+        flops[1:] = np.array([timing_cols[k].scalar_flops
+                              for k in kernel_names])[kidx] * inv.work_arr
+        tot_flops = float(np.add.accumulate(flops)[-1])
 
         with np.errstate(divide="ignore", invalid="ignore"):
             row_hit_col = np.where(tot_bytes != 0.0, row_hit_w / tot_bytes, 0.0)

@@ -203,6 +203,9 @@ def summarize(snap: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
       columns served by the vectorized phase scheduler versus columns
       that fell back to the per-config scalar simulation (e.g.
       ``overhead_scale != duration_scale``);
+    * ``sched_batch_rounds`` — round iterations of the vectorized
+      phase scheduler (each commits up to one task per core per
+      column, so it stays far below the task count);
     * ``memo_evictions`` — entries dropped from ``Musa``'s bounded
       per-process memo caches (burst/detail/trace/kernel-timing);
     * ``batch_memo_evictions`` — entries dropped from the batched
@@ -227,10 +230,7 @@ def summarize(snap: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
       / ``search_surrogate_rank_calls`` — active-DSE search loop
       accounting (:mod:`repro.analysis.search`): points acquired,
       proposal rounds, final Pareto-front size, and surrogate ranking
-      fits;
-    * ``sched_jit_calls`` — general-DAG phases scheduled by the opt-in
-      ``REPRO_JIT`` compiled kernel instead of the interpreted heapq
-      path.
+      fits.
     """
     snap = snap if snap is not None else _GLOBAL.snapshot()
     c = snap.get("counters", {})
@@ -278,6 +278,7 @@ def summarize(snap: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         "miss_batch_geometries": c.get("miss.batch.geometries", 0),
         "sched_batch_fast": c.get("sched.batch.fast", 0),
         "sched_batch_fallbacks": c.get("sched.batch.fallbacks", 0),
+        "sched_batch_rounds": c.get("sched.batch.rounds", 0),
         "memo_evictions": c.get("musa.memo.evictions", 0),
         "batch_memo_evictions": c.get("batch.memo.evictions", 0),
         "store_hits": c.get("store.hit", 0),
@@ -297,6 +298,5 @@ def summarize(snap: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         "search_front_size": c.get("search.front_size", 0),
         "search_surrogate_rank_calls": c.get("search.surrogate_rank_calls",
                                              0),
-        "sched_jit_calls": c.get("sched.jit.calls", 0),
     }
     return {"derived": derived, "counters": c, "timers": t}

@@ -31,7 +31,6 @@ import numpy as np
 from ..obs import get_metrics
 from ..trace.events import ComputePhase
 from ..util import LruDict
-from .jit import get_jit_kernel, run_jit_schedule
 
 __all__ = ["PhaseResult", "simulate_phase", "simulate_phase_batch"]
 
@@ -240,27 +239,6 @@ def simulate_phase(
             return _simulate_fast(structure, n, n_cores, durations,
                                   create_time, master_done, serial,
                                   creation, critical_total, busy)
-        # General-DAG phase: the opt-in JIT backend (REPRO_JIT=numba,
-        # see repro.runtime.jit) replays the exact heapq algorithm
-        # below, compiled.  Span collection stays on this path.
-        kernel = get_jit_kernel()
-        if kernel is not None:
-            makespan, ok = run_jit_schedule(
-                kernel, tasks, durations, create_time, master_done, busy)
-            if not ok:
-                raise RuntimeError(
-                    "scheduler deadlock: no ready tasks but work remains "
-                    "(dependency cycle in trace?)"
-                )
-            makespan = max(makespan, serial + critical_total)
-            return PhaseResult(
-                makespan_ns=makespan,
-                busy_ns=busy,
-                n_tasks=n,
-                serial_ns=serial,
-                creation_ns_total=n * creation,
-                spans=None,
-            )
 
     # Dependency bookkeeping: children lists and remaining-dep counters.
     n_deps = [len(t.deps) for t in tasks]
@@ -326,6 +304,73 @@ def simulate_phase(
     )
 
 
+def _run_rounds(free: np.ndarray, ready: np.ndarray, dur: np.ndarray,
+                p: np.ndarray, nc: np.ndarray,
+                n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Run every column's greedy schedule to completion in exact rounds.
+
+    ``free`` is the ``(K, C)`` matrix of core free times (``+inf`` on the
+    padded cores past a column's ``nc``), ``ready``/``dur`` the per-task
+    ready times and durations, one row per column (entries from ``n`` on
+    are scratch padding for windows that run past the last task), and
+    ``p`` each column's next task.  Returns ``(core_of, end_of)``, the
+    core each task ran on and its end time, in the layout of ``ready``
+    (padding entries are garbage).
+
+    One round per column: stable-argsort the core free times (the heap's
+    ``(free, core)`` order), run the next tasks onto the sorted cores in
+    turn, and commit the longest prefix in which every earlier end is
+    strictly greater than the next slot's free time — exactly the tasks
+    the heap would also have sent to those cores.  See
+    :func:`simulate_phase_batch` for the argument.
+    """
+    width = ready.shape[1]
+    core_of = np.zeros(ready.shape, dtype=np.int64)
+    end_of = np.zeros(ready.shape, dtype=np.float64)
+    slots = np.arange(free.shape[1])
+    live = np.arange(len(p))
+    base = live * width
+    rowoff = (live * free.shape[1])[:, None]
+    rounds = 0
+    while True:
+        left = n - p
+        if not left.all():
+            keep = left > 0
+            live, p, left = live[keep], p[keep], left[keep]
+            if not len(live):
+                break
+            # Drop finished columns, and padded cores no live column has.
+            free = np.ascontiguousarray(free[keep, :int(nc[live].max())])
+            base = live * width
+            rowoff = (np.arange(len(live)) * free.shape[1])[:, None]
+        rounds += 1
+        w = min(free.shape[1], int(left.max()))
+        order = free.argsort(axis=1, kind="stable")[:, :w]
+        at = order + rowoff
+        s = free.take(at)
+        flat = (base + p)[:, None] + slots[:w]
+        rt = ready.take(flat)
+        end = np.where(rt > s, rt, s)
+        end += dur.take(flat)
+        # Slot j is valid iff every earlier end in the window exceeds
+        # s_j.  The running min falls and s rises along the row, so the
+        # valid slots already form a prefix.
+        ok = np.empty(end.shape, dtype=bool)
+        ok[:, 0] = True
+        np.greater(np.minimum.accumulate(end[:, :-1], axis=1), s[:, 1:],
+                   out=ok[:, 1:])
+        if int(left.min()) < w:
+            ok &= slots[:w] < left[:, None]
+        # Uncommitted slots write too: their tasks are rewritten by the
+        # round that commits them, and nothing reads them before.
+        np.put(core_of, flat, order)
+        np.put(end_of, flat, end)
+        np.put(free, at, np.where(ok, end, s))
+        p = p + ok.sum(axis=1)
+    get_metrics().inc("sched.batch.rounds", rounds)
+    return core_of, end_of
+
+
 def simulate_phase_batch(
     phase: ComputePhase,
     n_cores: Sequence[int],
@@ -352,20 +397,43 @@ def simulate_phase_batch(
     sequence; ``fanout0``: task 0 first, then
     ``max(create_time[i], end0)``, nondecreasing in ``i``), and ties
     break on the index — so every config visits tasks 0..n-1 in index
-    order, exactly as :func:`_simulate_fast` does.  That lets all
-    configs advance through one synchronized per-task loop in which the
-    per-config core state is exact, not broadcast:
+    order, exactly as :func:`_simulate_fast` does.  Each column then
+    replays the heap schedule in **rounds** (:func:`_run_rounds`), each
+    column with its own task pointer:
 
-    * the core heap's pop (min ``(free_time, core)``, ties to the lowest
-      core index) is an ``argmin`` over a per-config row of core free
-      times (NumPy ``argmin`` returns the first occurrence — the same
-      tie-break);
-    * ``start``/``end``/``busy`` updates are the same float64 operations
-      on the same operands, elementwise across the config axis.
+    * stable-argsort the column's core free times: cores in the heap's
+      ``(free, core)`` order, ``s_0 <= s_1 <= ...``;
+    * run the next ``r <= c`` tasks onto the sorted cores in order with
+      the scalar expressions (``start = rt if rt > s_j else s_j``,
+      ``end = start + d``);
+    * slot ``j`` is what the heap pops for task ``p + j`` iff every end
+      pushed earlier in the window is strictly greater than ``s_j``
+      (``minimum.accumulate(end)[j-1] > s_j``; slot 0 always is), so
+      the longest such prefix is committed and the column's pointer
+      advances by its length.
 
-    Each column therefore reproduces the scalar heap schedule float for
-    float.  Phases with any other dependency structure — and columns
-    whose ``overhead_scale`` differs from ``duration_scale``, which the
+    A tie ends the prefix (the strict ``>`` fails) and the next round's
+    stable sort breaks it on the core index, as the heap's tuple order
+    does.  Cores are distinct within a window, so each core's ``busy``
+    sum still adds its tasks in task order (done once at the end by a
+    ``np.bincount``, which adds its weights in input order), and the
+    makespan is the max over all task ends — a max is exact in any
+    order.  Columns of every core
+    count run in one call: padded ``+inf`` cores never pass the ``>``
+    test.  ``sched.batch.rounds`` counts round iterations; a round
+    commits up to ``c`` tasks per column, so it stays far below the
+    task count (a silent return to per-task stepping would not).
+
+    Speculating one shared core-assignment sequence per core count (and
+    forking the columns that diverge) was rejected: the batched sweep
+    passes per-config duration matrices whose task-duration ratios
+    differ between configs, so nearly every column picks cores in its
+    own order — on the 5-app × 576-config campaign a prototype forked
+    1,368 times over 408 core-count groups, and the sweep took 5.3–6.0 s
+    against 1.4 s with the per-task loop it meant to replace.
+
+    Phases with any other dependency structure — and columns whose
+    ``overhead_scale`` differs from ``duration_scale``, which the
     scale-invariance contract of the batched sweep does not cover — fall
     back to per-config :func:`simulate_phase` calls.  Vectorized columns
     are counted under ``sched.batch.fast``; fallback columns under
@@ -434,69 +502,63 @@ def simulate_phase_batch(
                 0, float(serial[j]), 0.0, spans=None)
         return results  # type: ignore[return-value]
 
-    dur = (base if base.shape[1] == 1 else base[:, cols]) * ds[cols]
+    nc_f = nc[cols]
+    kc = len(cols)
+    c_max = int(nc_f.max())
+    rows = np.arange(kc)
+    # One row per column.  Entry 0 is the master thread's serial and
+    # creation work (core 0, ending at master_done), entries 1..n the
+    # tasks, then scratch padding for windows that run past the last
+    # task (a window has at most min(c_max, n) slots).
+    m = n + 1
+    width = m + min(c_max, n)
+    ready = np.zeros((kc, width), dtype=np.float64)
     # create_time[i] = serial + (i+1)*creation, per column — the same
     # float64 ops as the scalar list comprehension, elementwise.
-    create = (np.arange(1, n + 1, dtype=np.float64)[:, None]
-              * creation[None, :]) + serial[None, :]
-    master_done = create[-1, :]
-    nc_f = nc[cols]
+    create = ready[:, 1:m]
+    np.multiply(np.arange(1, m, dtype=np.float64), creation[:, None],
+                out=create)
+    create += serial[:, None]
+    master_done = create[:, -1].copy()
+    dur = np.zeros((kc, width), dtype=np.float64)
+    dur[:, 0] = master_done
+    np.multiply(base.T if base.shape[1] == 1 else base.T[cols],
+                ds[cols][:, None], out=dur[:, 1:m])
 
-    # Process one core-count group at a time so the free/busy matrices
-    # are dense (no +inf padding rows) and slices stay contiguous.
-    makespans = np.empty(len(cols), dtype=np.float64)
-    busy_out: List[Optional[np.ndarray]] = [None] * len(cols)
-    for c in np.unique(nc_f):
-        g = np.flatnonzero(nc_f == c)
-        kg = len(g)
-        rows = np.arange(kg)
-        dur_g = np.ascontiguousarray(dur[:, g])
-        create_g = create[:, g]
-        md = master_done[g]
+    free = np.where(np.arange(c_max) < nc_f[:, None], 0.0, np.inf)
+    free[:, 0] = master_done
+    if structure == "fanout0":
+        # Task 0 runs alone (the heap pops the first argmin); its end
+        # gates every other task.
+        idx = np.argmin(free, axis=1)
+        ft = free[rows, idx]
+        rt = create[:, 0]
+        end0 = np.where(rt > ft, rt, ft) + dur[:, 1]
+        free[rows, idx] = end0
+        ready[:, 2:m] = np.where(end0[:, None] > create[:, 1:],
+                                 end0[:, None], create[:, 1:])
+    first = 2 if structure == "fanout0" else 1
+    core_of, end_of = _run_rounds(free, ready, dur,
+                                  np.full(kc, first, dtype=np.int64), nc_f, m)
+    core_of[:, 0] = 0
+    end_of[:, 0] = master_done
+    if structure == "fanout0":
+        core_of[:, 1] = idx
+        end_of[:, 1] = end0
 
-        free = np.zeros((kg, int(c)), dtype=np.float64)
-        free[:, 0] = md
-        busy = np.zeros((kg, int(c)), dtype=np.float64)
-        busy[:, 0] += md
-        makespan = md.copy()
+    # bincount adds its weights in input order, so each core's busy time
+    # sums 0.0 + master work + its tasks in task order, as the scalar does.
+    busy = np.bincount((core_of[:, :m] + (rows * c_max)[:, None]).ravel(),
+                       weights=dur[:, :m].ravel(),
+                       minlength=kc * c_max).reshape(kc, c_max)
+    makespans = end_of[:, :m].max(axis=1)
+    np.maximum(makespans, serial + critical_total, out=makespans)
 
-        start_index = 0
-        end0 = None
-        if structure == "fanout0":
-            idx = np.argmin(free, axis=1)
-            ft = free[rows, idx]
-            rt = create_g[0]
-            start = np.where(rt > ft, rt, ft)
-            end0 = start + dur_g[0]
-            busy[rows, idx] += dur_g[0]
-            free[rows, idx] = end0
-            np.maximum(makespan, end0, out=makespan)
-            start_index = 1
-
-        for i in range(start_index, n):
-            rt = create_g[i]
-            if end0 is not None:
-                rt = np.where(end0 > rt, end0, rt)
-            idx = np.argmin(free, axis=1)
-            ft = free[rows, idx]
-            start = np.where(rt > ft, rt, ft)
-            end = start + dur_g[i]
-            busy[rows, idx] += dur_g[i]
-            free[rows, idx] = end
-            np.maximum(makespan, end, out=makespan)
-
-        np.maximum(makespan, serial[g] + critical_total[g], out=makespan)
-        makespans[g] = makespan
-        for j, gj in enumerate(g):
-            busy_out[gj] = busy[j].copy()
-
-    for j, k in enumerate(cols):
-        results[k] = PhaseResult(
-            makespan_ns=float(makespans[j]),
-            busy_ns=busy_out[j],
-            n_tasks=n,
-            serial_ns=float(serial[j]),
-            creation_ns_total=n * float(creation[j]),
-            spans=None,
-        )
+    total_creation = n * creation
+    for j, k, c, mk, se, tc in zip(range(kc), cols.tolist(), nc_f.tolist(),
+                                   makespans.tolist(), serial.tolist(),
+                                   total_creation.tolist()):
+        results[k] = PhaseResult(makespan_ns=mk, busy_ns=busy[j, :c].copy(),
+                                 n_tasks=n, serial_ns=se,
+                                 creation_ns_total=tc, spans=None)
     return results  # type: ignore[return-value]

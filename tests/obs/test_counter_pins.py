@@ -5,7 +5,6 @@ the CLI metrics summary all key on these exact strings.  Renaming one
 must fail here first, not silently blind the instrumentation.
 """
 
-import os
 import tempfile
 from pathlib import Path
 
@@ -21,8 +20,7 @@ from repro.core import sweep as sweep_mod
 from repro.core.musa import Musa
 from repro.network.replay_batch import replay_batch
 from repro.obs import MetricsRegistry, get_metrics, set_metrics, summarize
-from repro.runtime import jit, simulate_phase
-from repro.runtime.openmp import pipeline_deps
+from repro.runtime.scheduler import simulate_phase_batch
 from repro.trace import ComputePhase, TaskRecord
 
 #: 12-point space the fixture's active search explores: big enough
@@ -76,20 +74,6 @@ def workload_counters():
         search_front("spmz", _SEARCH_SPACE, max_evals=len(_SEARCH_SPACE),
                      patience=None, metrics=reg,
                      evaluator=sweep_mod._BATCH_EVALUATORS.get("spmz"))
-
-        os.environ[jit.JIT_ENV_VAR] = "python"
-        jit._reset_backend()
-        try:
-            deps = pipeline_deps(4, 4)
-            tasks = tuple(TaskRecord(kernel="k", duration_ns=100.0 + i,
-                                     deps=deps[i])
-                          for i in range(len(deps)))
-            simulate_phase(ComputePhase(phase_id=0, tasks=tasks,
-                                        serial_ns=0.0, creation_ns=0.0,
-                                        critical_ns=0.0), 4)
-        finally:
-            os.environ.pop(jit.JIT_ENV_VAR, None)
-            jit._reset_backend()
     finally:
         set_metrics(prev)
     yield reg.snapshot()["counters"]
@@ -173,10 +157,9 @@ def test_array_driver_does_not_alias_other_drivers(workload_counters):
 def test_dse_counters_emitted(workload_counters):
     counters = workload_counters
     # Shard scheduler (inline sweeps still deal shards), active search
-    # and the interpreted JIT backend all reported into the fixture run.
+    # and the phase scheduler's rounds all reported into the fixture run.
     for name in ("sweep.shards", "search.evaluated", "search.rounds",
-                 "search.front_size", "sched.jit.calls",
-                 "sched.jit.enabled"):
+                 "search.front_size", "sched.batch.rounds"):
         assert counters.get(name, 0) > 0, f"counter {name} never emitted"
 
 
@@ -190,7 +173,7 @@ def test_summarize_maps_dse_counters():
         "search.rounds": "search_rounds",
         "search.front_size": "search_front_size",
         "search.surrogate_rank_calls": "search_surrogate_rank_calls",
-        "sched.jit.calls": "sched_jit_calls",
+        "sched.batch.rounds": "sched_batch_rounds",
     }
     reg = MetricsRegistry()
     for i, name in enumerate(mapping, start=1):
@@ -211,3 +194,28 @@ def test_summarize_exposes_pinned_families(workload_counters):
     assert derived["miss_batch_geometries"] > 0
     assert derived["sched_batch_fast"] > 0
     assert derived["replay_events"] > 0
+
+
+def test_sched_rounds_count_rounds_not_tasks():
+    """``sched.batch.rounds`` counts round iterations: a 512-task nodeps
+    phase on 16 cores commits up to 16 tasks a round per column, so a
+    silent return to per-task stepping (512 iterations) fails here."""
+    rng = np.random.default_rng(3)
+    n_tasks = 512
+    tasks = tuple(TaskRecord(kernel="k", duration_ns=float(d))
+                  for d in rng.uniform(100.0, 1e4, n_tasks))
+    phase = ComputePhase(phase_id=0, tasks=tasks, serial_ns=50.0,
+                         creation_ns=2.0, critical_ns=0.0)
+    reg = MetricsRegistry()
+    prev = get_metrics()
+    set_metrics(reg)
+    try:
+        simulate_phase_batch(phase, [16] * 8,
+                             duration_scale=np.linspace(0.5, 2.0, 8),
+                             overhead_scale=np.linspace(0.5, 2.0, 8))
+    finally:
+        set_metrics(prev)
+    rounds = reg.counter("sched.batch.rounds")
+    assert 0 < rounds < n_tasks / 4
+    assert summarize(reg.snapshot())["derived"]["sched_batch_rounds"] \
+        == rounds

@@ -11,6 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import get_app
+from repro.config import DesignSpace
+from repro.core import batch as batch_mod
+from repro.core.musa import Musa
 from repro.obs import get_metrics
 from repro.runtime import simulate_phase
 from repro.runtime.scheduler import (_STRUCTURE_CACHE, _structure_of,
@@ -124,6 +128,100 @@ class TestBatchEqualsScalarBitwise:
         phase = make_phase(durations, serial=7.0, creation=3.0)
         assert_batch_matches_scalar(phase, cores, duration_scale=dscale,
                                     overhead_scale=oscale)
+
+
+def _matrix(data, n_tasks, n_cfg, elements):
+    return np.array([data.draw(st.lists(elements, min_size=n_cfg,
+                                        max_size=n_cfg))
+                     for _ in range(n_tasks)], dtype=np.float64)
+
+
+class TestRounds:
+    """Schedules long enough to run many rounds per column.
+
+    The per-column round scheduler commits, per round, the prefix of a
+    window the heap would also have served in order; these cases force
+    many rounds, ragged per-column progress and the tie rule."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_tasks=st.integers(min_value=1, max_value=300),
+           cores=st.lists(st.integers(min_value=1, max_value=8),
+                          min_size=1, max_size=6),
+           fanout=st.booleans(),
+           serial=st.floats(min_value=0.0, max_value=1e4),
+           creation=st.floats(min_value=0.0, max_value=1e3),
+           data=st.data())
+    def test_many_more_tasks_than_cores(self, n_tasks, cores, fanout,
+                                        serial, creation, data):
+        deps = [()] + [(0,) if fanout else ()] * (n_tasks - 1)
+        phase = make_phase([1.0] * n_tasks, deps=deps, serial=serial,
+                           creation=creation)
+        mat = _matrix(data, n_tasks, len(cores),
+                      st.floats(min_value=0.0, max_value=1e6))
+        assert_batch_matches_scalar(phase, cores, task_durations_ns=mat)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_tasks=st.integers(min_value=1, max_value=120),
+           cores=st.lists(st.integers(min_value=1, max_value=12),
+                          min_size=1, max_size=6),
+           fanout=st.booleans(),
+           data=st.data())
+    def test_exact_ties(self, n_tasks, cores, fanout, data):
+        # Integer durations from a tiny set tie core free times all the
+        # time; with serial = creation = 0 the master is done at 0 and
+        # ties with every idle core.  The heap breaks every tie on the
+        # core index, and so must the rounds.
+        deps = [()] + [(0,) if fanout else ()] * (n_tasks - 1)
+        phase = make_phase([1.0] * n_tasks, deps=deps)
+        mat = _matrix(data, n_tasks, len(cores),
+                      st.sampled_from([0.0, 1.0, 2.0, 3.0]))
+        assert_batch_matches_scalar(phase, cores, task_durations_ns=mat)
+
+    @pytest.mark.parametrize("creation", [0.0, 1.5])
+    def test_zero_durations(self, creation):
+        phase = make_phase([0.0] * 50, creation=creation)
+        assert_batch_matches_scalar(phase, [1, 3, 8, 64])
+        mat = np.zeros((50, 3))
+        mat[::7, 1] = 5.0
+        assert_batch_matches_scalar(phase, [2, 4, 4], task_durations_ns=mat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_tasks=st.integers(min_value=2, max_value=200),
+           cores=st.lists(st.integers(min_value=1, max_value=16),
+                          min_size=1, max_size=5),
+           creation=st.floats(min_value=0.0, max_value=10.0),
+           data=st.data())
+    def test_fanout0_end0_dominates_creation(self, n_tasks, cores,
+                                             creation, data):
+        # Task 0 outlasts the whole creation loop, so every other task
+        # becomes ready at end0 at once and the first wave ties on it.
+        deps = [()] + [(0,)] * (n_tasks - 1)
+        phase = make_phase([1.0] * n_tasks, deps=deps, creation=creation)
+        mat = _matrix(data, n_tasks, len(cores),
+                      st.floats(min_value=0.0, max_value=1e3))
+        mat[0] = 1e7 + n_tasks * creation
+        assert_batch_matches_scalar(phase, cores, task_durations_ns=mat)
+
+    def test_lulesh_table1_duration_matrices(self, monkeypatch):
+        # The real traffic: per-config duration matrices _phase_cols
+        # builds for LULESH over the 864 Table I configs, where nearly
+        # every column picks cores in its own order.
+        calls = []
+        real = batch_mod.simulate_phase_batch
+
+        def capture(phase, n_cores, **kw):
+            calls.append((phase, np.array(n_cores),
+                          np.array(kw["task_durations_ns"])))
+            return real(phase, n_cores, **kw)
+
+        monkeypatch.setattr(batch_mod, "simulate_phase_batch", capture)
+        evaluator = batch_mod.BatchEvaluator(Musa(get_app("lulesh")))
+        evaluator.evaluate(list(DesignSpace()))
+        assert calls
+        for phase, n_cores, durations in calls:
+            assert durations.shape[1] == len(n_cores) > 1
+            assert_batch_matches_scalar(phase, n_cores,
+                                        task_durations_ns=durations)
 
 
 class TestBatchRegressions:

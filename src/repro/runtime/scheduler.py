@@ -304,18 +304,17 @@ def simulate_phase(
     )
 
 
-def _run_rounds(free: np.ndarray, ready: np.ndarray, dur: np.ndarray,
-                p: np.ndarray, nc: np.ndarray,
-                n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Run every column's greedy schedule to completion in exact rounds.
+def _run_rounds(free: np.ndarray, busy: np.ndarray, makespan: np.ndarray,
+                ready: np.ndarray, dur: np.ndarray, p: np.ndarray,
+                nc: np.ndarray) -> None:
+    """Run every column's greedy schedule to its last task, in rounds.
 
-    ``free`` is the ``(K, C)`` matrix of core free times (``+inf`` on the
-    padded cores past a column's ``nc``), ``ready``/``dur`` the per-task
-    ready times and durations, one row per column (entries from ``n`` on
-    are scratch padding for windows that run past the last task), and
-    ``p`` each column's next task.  Returns ``(core_of, end_of)``, the
-    core each task ran on and its end time, in the layout of ``ready``
-    (padding entries are garbage).
+    ``free``/``busy`` are the ``(K, C)`` core free and busy times
+    (``+inf`` free time on the padded cores past a column's ``nc``),
+    ``makespan`` the running max of each column's task ends,
+    ``ready``/``dur`` the ``(K, n)`` per-task ready times and durations
+    and ``p`` each column's next task.  Leaves each column's final busy
+    times and makespan in ``busy`` and ``makespan``.
 
     One round per column: stable-argsort the core free times (the heap's
     ``(free, core)`` order), run the next tasks onto the sorted cores in
@@ -324,34 +323,46 @@ def _run_rounds(free: np.ndarray, ready: np.ndarray, dur: np.ndarray,
     the heap would also have sent to those cores.  See
     :func:`simulate_phase_batch` for the argument.
     """
-    width = ready.shape[1]
-    core_of = np.zeros(ready.shape, dtype=np.int64)
-    end_of = np.zeros(ready.shape, dtype=np.float64)
+    n = ready.shape[1]
     slots = np.arange(free.shape[1])
     live = np.arange(len(p))
-    base = live * width
+    base = live * n
     rowoff = (live * free.shape[1])[:, None]
+    f, b, mk = free, busy, makespan
     rounds = 0
     while True:
         left = n - p
         if not left.all():
-            keep = left > 0
+            # Write finished columns out, then drop them and the padded
+            # cores no live column has.
+            done = left == 0
+            busy[live[done], :b.shape[1]] = b[done]
+            makespan[live[done]] = mk[done]
+            keep = ~done
             live, p, left = live[keep], p[keep], left[keep]
             if not len(live):
                 break
-            # Drop finished columns, and padded cores no live column has.
-            free = np.ascontiguousarray(free[keep, :int(nc[live].max())])
-            base = live * width
-            rowoff = (np.arange(len(live)) * free.shape[1])[:, None]
+            c = int(nc[live].max())
+            f = np.ascontiguousarray(f[keep, :c])
+            b = np.ascontiguousarray(b[keep, :c])
+            mk = mk[keep]
+            base = live * n
+            rowoff = (np.arange(len(live)) * c)[:, None]
         rounds += 1
-        w = min(free.shape[1], int(left.max()))
-        order = free.argsort(axis=1, kind="stable")[:, :w]
+        w = min(f.shape[1], int(left.max()))
+        order = f.argsort(axis=1, kind="stable")[:, :w]
         at = order + rowoff
-        s = free.take(at)
+        s = f.take(at)
         flat = (base + p)[:, None] + slots[:w]
+        short = int(left.min()) < w
+        if short:
+            # Some windows run past their column's last task: clamp the
+            # reads; those slots are never committed.
+            np.minimum(flat, (base + n - 1)[:, None], out=flat)
         rt = ready.take(flat)
+        d = dur.take(flat)
         end = np.where(rt > s, rt, s)
-        end += dur.take(flat)
+        end += d
         # Slot j is valid iff every earlier end in the window exceeds
         # s_j.  The running min falls and s rises along the row, so the
         # valid slots already form a prefix.
@@ -359,16 +370,14 @@ def _run_rounds(free: np.ndarray, ready: np.ndarray, dur: np.ndarray,
         ok[:, 0] = True
         np.greater(np.minimum.accumulate(end[:, :-1], axis=1), s[:, 1:],
                    out=ok[:, 1:])
-        if int(left.min()) < w:
+        if short:
             ok &= slots[:w] < left[:, None]
-        # Uncommitted slots write too: their tasks are rewritten by the
-        # round that commits them, and nothing reads them before.
-        np.put(core_of, flat, order)
-        np.put(end_of, flat, end)
-        np.put(free, at, np.where(ok, end, s))
+        np.put(f, at, np.where(ok, end, s))
+        # busy never holds -0.0, so adding 0.0 leaves it bit-unchanged.
+        np.put(b, at, b.take(at) + np.where(ok, d, 0.0))
+        np.maximum(mk, np.where(ok, end, -np.inf).max(axis=1), out=mk)
         p = p + ok.sum(axis=1)
     get_metrics().inc("sched.batch.rounds", rounds)
-    return core_of, end_of
 
 
 def simulate_phase_batch(
@@ -415,9 +424,8 @@ def simulate_phase_batch(
     A tie ends the prefix (the strict ``>`` fails) and the next round's
     stable sort breaks it on the core index, as the heap's tuple order
     does.  Cores are distinct within a window, so each core's ``busy``
-    sum still adds its tasks in task order (done once at the end by a
-    ``np.bincount``, which adds its weights in input order), and the
-    makespan is the max over all task ends — a max is exact in any
+    sum still adds its tasks in task order, and the makespan is a
+    running max over the committed ends — a max is exact in any
     order.  Columns of every core
     count run in one call: padded ``+inf`` cores never pass the ``>``
     test.  ``sched.batch.rounds`` counts round iterations; a round
@@ -506,52 +514,39 @@ def simulate_phase_batch(
     kc = len(cols)
     c_max = int(nc_f.max())
     rows = np.arange(kc)
-    # One row per column.  Entry 0 is the master thread's serial and
-    # creation work (core 0, ending at master_done), entries 1..n the
-    # tasks, then scratch padding for windows that run past the last
-    # task (a window has at most min(c_max, n) slots).
-    m = n + 1
-    width = m + min(c_max, n)
-    ready = np.zeros((kc, width), dtype=np.float64)
     # create_time[i] = serial + (i+1)*creation, per column — the same
     # float64 ops as the scalar list comprehension, elementwise.
-    create = ready[:, 1:m]
-    np.multiply(np.arange(1, m, dtype=np.float64), creation[:, None],
-                out=create)
-    create += serial[:, None]
-    master_done = create[:, -1].copy()
-    dur = np.zeros((kc, width), dtype=np.float64)
-    dur[:, 0] = master_done
-    np.multiply(base.T if base.shape[1] == 1 else base.T[cols],
-                ds[cols][:, None], out=dur[:, 1:m])
+    ready = np.empty((kc, n), dtype=np.float64)
+    np.multiply(np.arange(1, n + 1, dtype=np.float64), creation[:, None],
+                out=ready)
+    ready += serial[:, None]
+    master_done = ready[:, -1].copy()
+    dur = np.empty((kc, n), dtype=np.float64)
+    full = base.shape[1] == 1 or len(cols) == n_cfg
+    np.multiply(base.T if full else base.T[cols], ds[cols][:, None],
+                out=dur)
 
     free = np.where(np.arange(c_max) < nc_f[:, None], 0.0, np.inf)
     free[:, 0] = master_done
+    busy = np.zeros((kc, c_max), dtype=np.float64)
+    busy[:, 0] += master_done
+    makespans = master_done.copy()
+    first = 0
     if structure == "fanout0":
         # Task 0 runs alone (the heap pops the first argmin); its end
         # gates every other task.
         idx = np.argmin(free, axis=1)
         ft = free[rows, idx]
-        rt = create[:, 0]
-        end0 = np.where(rt > ft, rt, ft) + dur[:, 1]
+        rt = ready[:, 0]
+        end0 = np.where(rt > ft, rt, ft) + dur[:, 0]
+        busy[rows, idx] += dur[:, 0]
         free[rows, idx] = end0
-        ready[:, 2:m] = np.where(end0[:, None] > create[:, 1:],
-                                 end0[:, None], create[:, 1:])
-    first = 2 if structure == "fanout0" else 1
-    core_of, end_of = _run_rounds(free, ready, dur,
-                                  np.full(kc, first, dtype=np.int64), nc_f, m)
-    core_of[:, 0] = 0
-    end_of[:, 0] = master_done
-    if structure == "fanout0":
-        core_of[:, 1] = idx
-        end_of[:, 1] = end0
-
-    # bincount adds its weights in input order, so each core's busy time
-    # sums 0.0 + master work + its tasks in task order, as the scalar does.
-    busy = np.bincount((core_of[:, :m] + (rows * c_max)[:, None]).ravel(),
-                       weights=dur[:, :m].ravel(),
-                       minlength=kc * c_max).reshape(kc, c_max)
-    makespans = end_of[:, :m].max(axis=1)
+        np.maximum(makespans, end0, out=makespans)
+        np.copyto(ready[:, 1:], end0[:, None],
+                  where=end0[:, None] > ready[:, 1:])
+        first = 1
+    _run_rounds(free, busy, makespans, ready, dur,
+                np.full(kc, first, dtype=np.int64), nc_f)
     np.maximum(makespans, serial + critical_total, out=makespans)
 
     total_creation = n * creation

@@ -68,8 +68,7 @@ class _PhaseInvariants:
 
     phase: ComputePhase
     imb: np.ndarray              # per-task imbalance factors
-    work: Tuple                  # per-task work units (original numbers)
-    work_arr: np.ndarray         # same, as float64 (exact conversion)
+    work_arr: np.ndarray         # per-task work units, as float64 (exact)
     kernel_names: Tuple[str, ...]
     kidx: np.ndarray             # per-task index into kernel_names
     n_tasks: int
@@ -130,19 +129,16 @@ class BatchEvaluator:
     def _phase_invariants(phase: ComputePhase) -> _PhaseInvariants:
         tasks = phase.tasks
         if not tasks:
-            return _PhaseInvariants(phase, np.empty(0), (),
-                                    np.empty(0, np.int64), (),
+            return _PhaseInvariants(phase, np.empty(0), np.empty(0), (),
                                     np.empty(0, np.int64), 0)
         imb = _imbalance_factors(phase)
         kernel_names = tuple(sorted({t.kernel for t in tasks}))
         pos = {k: i for i, k in enumerate(kernel_names)}
         kidx = np.array([pos[t.kernel] for t in tasks], np.int64)
-        work = tuple(t.work_units for t in tasks)
         return _PhaseInvariants(
             phase=phase,
             imb=imb,
-            work=work,
-            work_arr=np.array(work, np.float64),
+            work_arr=np.array([t.work_units for t in tasks], np.float64),
             kernel_names=kernel_names,
             kidx=kidx,
             n_tasks=len(tasks),

@@ -350,8 +350,11 @@ def _run_rounds(free: np.ndarray, busy: np.ndarray, makespan: np.ndarray,
             rowoff = (np.arange(len(live)) * c)[:, None]
         rounds += 1
         w = min(f.shape[1], int(left.max()))
-        order = f.argsort(axis=1, kind="stable")[:, :w]
-        at = order + rowoff
+        # The sorted cores' flat indices into f and b.  The round works
+        # in place where it can: these (columns, cores) temporaries set
+        # the scheduler's peak memory.
+        at = f.argsort(axis=1, kind="stable")[:, :w]
+        at += rowoff
         s = f.take(at)
         flat = (base + p)[:, None] + slots[:w]
         short = int(left.min()) < w
@@ -359,9 +362,11 @@ def _run_rounds(free: np.ndarray, busy: np.ndarray, makespan: np.ndarray,
             # Some windows run past their column's last task: clamp the
             # reads; those slots are never committed.
             np.minimum(flat, (base + n - 1)[:, None], out=flat)
-        rt = ready.take(flat)
         d = dur.take(flat)
-        end = np.where(rt > s, rt, s)
+        # end = (rt if rt > s else s) + d, built in the ready-time copy.
+        end = ready.take(flat)
+        del flat
+        np.copyto(end, s, where=~(end > s))
         end += d
         # Slot j is valid iff every earlier end in the window exceeds
         # s_j.  The running min falls and s rises along the row, so the
@@ -372,10 +377,11 @@ def _run_rounds(free: np.ndarray, busy: np.ndarray, makespan: np.ndarray,
                    out=ok[:, 1:])
         if short:
             ok &= slots[:w] < left[:, None]
-        np.put(f, at, np.where(ok, end, s))
-        # busy never holds -0.0, so adding 0.0 leaves it bit-unchanged.
-        np.put(b, at, b.take(at) + np.where(ok, d, 0.0))
-        np.maximum(mk, np.where(ok, end, -np.inf).max(axis=1), out=mk)
+        np.copyto(s, end, where=ok)
+        np.put(f, at, s)
+        bt = b.take(at)
+        np.put(b, at, np.add(bt, d, out=bt, where=ok))
+        np.maximum(mk, end.max(axis=1, where=ok, initial=-np.inf), out=mk)
         p = p + ok.sum(axis=1)
     get_metrics().inc("sched.batch.rounds", rounds)
 
@@ -425,12 +431,12 @@ def simulate_phase_batch(
     stable sort breaks it on the core index, as the heap's tuple order
     does.  Cores are distinct within a window, so each core's ``busy``
     sum still adds its tasks in task order, and the makespan is a
-    running max over the committed ends — a max is exact in any
-    order.  Columns of every core
-    count run in one call: padded ``+inf`` cores never pass the ``>``
-    test.  ``sched.batch.rounds`` counts round iterations; a round
-    commits up to ``c`` tasks per column, so it stays far below the
-    task count (a silent return to per-task stepping would not).
+    running max over the committed ends — a max is exact in any order.
+    Columns of every core count run in one call: padded ``+inf`` cores
+    never pass the ``>`` test.  ``sched.batch.rounds`` counts round
+    iterations; a round commits up to ``c`` tasks per column, so it
+    stays far below the task count (a silent return to per-task
+    stepping would not).
 
     Speculating one shared core-assignment sequence per core count (and
     forking the columns that diverge) was rejected: the batched sweep
@@ -522,8 +528,10 @@ def simulate_phase_batch(
     ready += serial[:, None]
     master_done = ready[:, -1].copy()
     dur = np.empty((kc, n), dtype=np.float64)
-    full = base.shape[1] == 1 or len(cols) == n_cfg
-    np.multiply(base.T if full else base.T[cols], ds[cols][:, None],
+    # The gather copies the whole matrix; skip it when every column is
+    # vectorized (the sweep's case).
+    every = base.shape[1] == 1 or len(cols) == n_cfg
+    np.multiply(base.T if every else base.T[cols], ds[cols][:, None],
                 out=dur)
 
     free = np.where(np.arange(c_max) < nc_f[:, None], 0.0, np.inf)

@@ -519,7 +519,6 @@ def simulate_phase_batch(
     nc_f = nc[cols]
     kc = len(cols)
     c_max = int(nc_f.max())
-    rows = np.arange(kc)
     # create_time[i] = serial + (i+1)*creation, per column — the same
     # float64 ops as the scalar list comprehension, elementwise.
     ready = np.empty((kc, n), dtype=np.float64)
@@ -543,6 +542,7 @@ def simulate_phase_batch(
     if structure == "fanout0":
         # Task 0 runs alone (the heap pops the first argmin); its end
         # gates every other task.
+        rows = np.arange(kc)
         idx = np.argmin(free, axis=1)
         ft = free[rows, idx]
         rt = ready[:, 0]

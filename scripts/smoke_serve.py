@@ -9,7 +9,9 @@ query twice, and asserts the serving contracts:
   counters move;
 * the result payload is byte-identical across servings and bit-
   identical to a direct ``run_sweep`` of the same inputs;
-* best/delta queries reuse the same store entries (no re-evaluation);
+* warm 2-app best/delta queries reuse the same store entries (zero
+  engine counters) and equal the in-process optimizer's and a cold
+  in-process evaluation's answers;
 * invalidation drops the entries and the next query re-evaluates.
 
 Exits non-zero on any violation.
@@ -24,6 +26,7 @@ import tempfile
 import threading
 from pathlib import Path
 
+from repro.analysis import optimize_node
 from repro.config import smoke_design_space
 from repro.core import ResultSet, run_sweep
 from repro.core.canon import canonical_dumps
@@ -95,17 +98,36 @@ def main() -> int:
         "served records differ from a direct run_sweep"
     print(f"  bit-identity OK: {len(direct)} records match run_sweep")
 
-    # 4. Best/delta queries reuse the stored points.
-    best = client.query({"kind": "best", "apps": ["spmz"], "space": "smoke",
-                         "objective": "time_ns"})
+    # 4. Warm 2-app best and delta: answered from the store alone (zero
+    #    engine counters) and equal to the in-process oracle's answer.
+    apps = ["spmz", "hydro"]
+    client.query({"kind": "sweep", "apps": apps, "space": "smoke"})
+    engines_before = {c: reg.counter(c) for c in ENGINE_COUNTERS}
+    best = client.query({"kind": "best", "apps": apps, "space": "smoke",
+                         "objective": "edp"})
+    delta_query = {"kind": "delta", "apps": apps, "space": "smoke",
+                   "axis": "vector", "a": 128, "b": 512}
+    delta = client.query(delta_query)
+    for c in ENGINE_COUNTERS:
+        moved = reg.counter(c) - engines_before[c]
+        assert moved == 0, f"engine counter {c} moved by {moved} on a hit"
     assert best["served"]["evaluated"] == 0, best["served"]
-    delta = client.query({"kind": "delta", "apps": ["spmz"],
-                          "space": "smoke", "axis": "vector",
-                          "a": 128, "b": 512})
     assert delta["served"]["evaluated"] == 0, delta["served"]
-    assert len(delta["result"]["pairs"]) == len(space) // 2
+    assert len(delta["result"]["pairs"]) == len(apps) * len(space) // 2
+    direct = optimize_node(run_sweep(apps, space, processes=1),
+                           objective="edp", apps=apps)
+    assert (best["result"]["config"], best["result"]["score"],
+            best["result"]["per_app"], best["result"]["n_feasible"]) == \
+        (direct.config, direct.score, direct.per_app, direct.n_feasible), \
+        "served best differs from the in-process optimizer"
+    fresh = ServeState(ResultStore(Path(tmp) / "oracle.jsonl"),
+                       code_version="smoke")
+    assert canonical_dumps(delta["result"]) == \
+        canonical_dumps(fresh.handle(delta_query)["result"]), \
+        "served delta differs from an in-process cold evaluation"
     print(f"  best/delta OK: best={best['result']['label']}, "
-          f"{len(delta['result']['pairs'])} delta pairs, all from store")
+          f"{len(delta['result']['pairs'])} delta pairs, all from store, "
+          "equal to the in-process answers")
 
     # 5. Invalidation: entries drop, next query re-evaluates.
     removed = client.invalidate({"app": "spmz"})

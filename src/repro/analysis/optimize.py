@@ -10,7 +10,7 @@ since a machine is bought once) — subject to such constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,12 +28,13 @@ class Constraints:
     power_cap_w: Optional[float] = None
     area_cap_mm2: Optional[float] = None
     min_frequency_ghz: Optional[float] = None
+    energy_cap_j: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.power_cap_w is not None and self.power_cap_w <= 0:
-            raise ValueError("power cap must be positive")
-        if self.area_cap_mm2 is not None and self.area_cap_mm2 <= 0:
-            raise ValueError("area cap must be positive")
+        for name in ("power_cap_w", "area_cap_mm2", "energy_cap_j"):
+            cap = getattr(self, name)
+            if cap is not None and cap <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -50,16 +51,17 @@ class OptimalChoice:
 
     @property
     def label(self) -> str:
-        c = self.config
-        return (f"{c['core']}/{c['cache']}/{c['memory']}/"
-                f"{c['frequency']}GHz/{c['vector']}b/{c['cores']}c")
+        return _label(self.config[k] for k in _HW_KEYS)
 
 
-def _node_area(config: Dict[str, object], area_model: AreaModel) -> float:
-    spec = (f"{config['core']}/{config['cache']}/{config['memory']}/"
-            f"{config['frequency']}GHz/{config['vector']}b/"
-            f"{config['cores']}c")
-    return area_model.node_area(parse_node(spec)).total_mm2
+#: Hardware configuration keys: the config key minus the app.
+_HW_KEYS = CONFIG_KEYS[1:]
+_FREQ = _HW_KEYS.index("frequency")
+
+
+def _label(hw_values) -> str:
+    """Node spec of the six hardware values (:data:`_HW_KEYS` order)."""
+    return "{}/{}/{}/{}GHz/{}b/{}c".format(*hw_values)
 
 
 def optimize_node(
@@ -74,60 +76,69 @@ def optimize_node(
     subject to the constraints holding for *every* application.
 
     ``objective`` may be any positive record metric (``time_ns``,
-    ``energy_j``, ``power_total_w``) or ``"edp"``.
+    ``energy_j``, ``power_total_w``) or ``"edp"``.  A configuration
+    needs a record for every app, no failed-task stub among them, and
+    a positive objective for each (``None``/NaN rule it out); a
+    ``None`` power passes the power cap, a ``None`` energy fails the
+    energy cap.  Computed on columns, bitwise equal to the per-record
+    loop kept as the oracle in ``tests/analysis``; ties go to the
+    configuration that appears first.
     """
     cons = constraints or Constraints()
-    am = area_model or AreaModel()
-    app_list = list(apps) if apps is not None else \
-        sorted(results.unique("app"))
+    keys = list(results.config_keys())
+    app_list = (list(apps) if apps is not None else
+                sorted(dict.fromkeys(k[0] for k in keys)))
     if not app_list:
         raise ValueError("no applications in the result set")
+    wanted = set(app_list)
 
-    # Group records by hardware configuration (config keys minus app).
-    hw_keys = [k for k in CONFIG_KEYS if k != "app"]
-    by_config: Dict[Tuple, Dict[str, dict]] = {}
-    for rec in results:
-        if rec["app"] not in app_list:
-            continue
-        key = tuple(rec[k] for k in hw_keys)
-        by_config.setdefault(key, {})[rec["app"]] = rec
+    fields = ["energy_j", "time_ns"] if objective == "edp" else [objective]
+    fields.append("failed")
+    if cons.power_cap_w is not None:
+        fields.append("power_total_w")
+    if cons.energy_cap_j is not None:
+        fields.append("energy_j")
+    cols = results.columns(fields)
+    keep = np.fromiter((k[0] in wanted for k in keys), bool, len(keys))
+    if not keep.all():
+        keys = [k for k, kept in zip(keys, keep.tolist()) if kept]
+        cols = {f: col[keep] for f, col in cols.items()}
+    value = (cols["energy_j"] * cols["time_ns"] if objective == "edp"
+             else cols[objective])
 
-    def metric(rec: dict) -> Optional[float]:
-        if objective == "edp":
-            if rec["energy_j"] is None:
-                return None
-            return rec["energy_j"] * rec["time_ns"]
-        value = rec.get(objective)
-        return None if value is None else float(value)
-
-    best: Optional[OptimalChoice] = None
-    n_feasible = 0
-    for key, app_recs in by_config.items():
-        if set(app_recs) != set(app_list):
-            continue  # incomplete configuration
-        config = dict(zip(hw_keys, key))
-        if cons.min_frequency_ghz is not None and \
-                config["frequency"] < cons.min_frequency_ghz:
-            continue
-        if cons.power_cap_w is not None and any(
-                r["power_total_w"] is not None
-                and r["power_total_w"] > cons.power_cap_w
-                for r in app_recs.values()):
-            continue
-        if cons.area_cap_mm2 is not None and \
-                _node_area(config, am) > cons.area_cap_mm2:
-            continue
-        values = {app: metric(r) for app, r in app_recs.items()}
-        if any(v is None or v <= 0 for v in values.values()):
-            continue
-        n_feasible += 1
-        score = float(np.exp(np.mean(np.log(list(values.values())))))
-        if best is None or score < best.score:
-            best = OptimalChoice(config=config, objective=objective,
-                                 score=score, per_app=values,
-                                 n_feasible=0)
-    if best is None:
+    # Configuration ids, in first-appearance order.
+    cfg_ids: Dict[Tuple, int] = {}
+    cfg = np.fromiter((cfg_ids.setdefault(k[1:], len(cfg_ids))
+                       for k in keys), np.intp, len(keys))
+    feasible = np.bincount(cfg, minlength=len(cfg_ids)) == len(wanted)
+    feasible[cfg[~(value > 0)]] = False
+    feasible[cfg[cols["failed"] > 0]] = False
+    if cons.power_cap_w is not None:
+        feasible[cfg[cols["power_total_w"] > cons.power_cap_w]] = False
+    if cons.energy_cap_j is not None:
+        feasible[cfg[~(cols["energy_j"] <= cons.energy_cap_j)]] = False
+    configs = list(cfg_ids)
+    if cons.min_frequency_ghz is not None:
+        feasible &= [c[_FREQ] >= cons.min_frequency_ghz for c in configs]
+    if cons.area_cap_mm2 is not None:
+        am = area_model or AreaModel()
+        for c in np.flatnonzero(feasible).tolist():
+            spec = parse_node(_label(configs[c]))
+            if am.node_area(spec).total_mm2 > cons.area_cap_mm2:
+                feasible[c] = False
+    cand = np.flatnonzero(feasible)
+    if not len(cand):
         raise ValueError("no feasible configuration under the constraints")
-    return OptimalChoice(config=best.config, objective=best.objective,
-                         score=best.score, per_app=best.per_app,
-                         n_feasible=n_feasible)
+
+    # One row per candidate, its apps in the order they appeared: the
+    # row sums then match the loop's per-config sums bit for bit.
+    order = np.argsort(cfg, kind="stable")
+    slots = order[feasible[cfg[order]]].reshape(len(cand), len(wanted))
+    scores = np.exp(np.mean(np.log(value[slots]), axis=1))
+    best = int(np.argmin(scores))
+    return OptimalChoice(config=dict(zip(_HW_KEYS, configs[cand[best]])),
+                         objective=objective,
+                         score=float(scores[best]),
+                         per_app={keys[s][0]: float(value[s])
+                                  for s in slots[best].tolist()},
+                         n_feasible=len(cand))

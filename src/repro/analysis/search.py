@@ -226,18 +226,14 @@ def search_front(
         if not fresh:
             return
         nodes = {i: space.config_at(i) for i in fresh}
-        misses: List[int] = []
+        misses = fresh
         if store is not None:
-            for i in fresh:
-                entry = store.get(store_key(
-                    app, nodes[i].axis_values(), mode, n_ranks,
-                    code_version))
-                if entry is not None:
-                    evaluated[i] = entry["record"]
-                else:
-                    misses.append(i)
-        else:
-            misses = fresh
+            found = store.get_many([store_key(
+                app, nodes[i].axis_values(), mode, n_ranks, code_version)
+                for i in fresh])
+            misses = [i for i, r in zip(fresh, found) if r is None]
+            evaluated.update((i, r) for i, r in zip(fresh, found)
+                             if r is not None)
         if misses:
             before = reg.snapshot()
             results = evaluator.evaluate(

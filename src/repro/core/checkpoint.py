@@ -222,7 +222,7 @@ def replay_journal(path: Union[str, Path]) -> JournalReplay:
                         stubs[key] = frame.row(i).to_dict()
                         continue
                     out.done.add(key)
-                    out.results._add_keyed(key, frame.row(i))
+                    out.results.add_keyed((key,), (frame.row(i),))
                     stubs.pop(key, None)
                 continue
             try:
@@ -455,7 +455,7 @@ def merge_journal(
         merged.done.update(records)
         if collect:
             for key in sorted(records):
-                merged.results._add_keyed(key, fetch.record(records[key]))
+                merged.results.add_keyed((key,), (fetch.record(records[key]),))
             merged.failed.extend(
                 dict(fetch.record(stubs[key])) for key in sorted(stubs))
     finally:

@@ -21,6 +21,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -43,6 +44,9 @@ CONFIG_KEYS: Tuple[str, ...] = (
 )
 
 Record = Mapping[str, Any]
+
+#: Entries of one backing frame: ``(frame, positions, frame rows)``.
+_Group = Tuple[ResultFrame, List[int], List[int]]
 
 
 class ResultSet:
@@ -87,16 +91,19 @@ class ResultSet:
         if missing:
             raise ValueError(f"record missing config keys: {missing}")
         key_cols = [frame.column(k).tolist() for k in CONFIG_KEYS]
-        for i, key in enumerate(zip(*key_cols)):
-            self._add_keyed(key, frame.row(i))
+        self.add_keyed(zip(*key_cols), frame.rows())
 
-    def _add_keyed(self, key: Tuple, record: Record) -> None:
-        """Trusted insert: the caller guarantees ``key == _key(record)``
-        and that the record carries every config key."""
-        if key in self._index:
-            raise ValueError(f"duplicate record for config {key}")
-        self._index[key] = len(self._records)
-        self._records.append(record)
+    def add_keyed(self, keys: Iterable[Tuple],
+                  records: Iterable[Record]) -> None:
+        """Trusted bulk insert: each key must be its record's config
+        key (:data:`CONFIG_KEYS` order) and the record must carry every
+        config key; no record is read.  Duplicates are still rejected.
+        """
+        for key, record in zip(keys, records):
+            if key in self._index:
+                raise ValueError(f"duplicate record for config {key}")
+            self._index[key] = len(self._records)
+            self._records.append(record)
 
     @staticmethod
     def _key(record: Record) -> Tuple:
@@ -126,27 +133,32 @@ class ResultSet:
         """Iterate entries as stored — frame rows stay lazy views."""
         return iter(self._records)
 
+    def config_keys(self) -> Iterator[Tuple]:
+        """Each entry's config key, in order, without reading it."""
+        return iter(self._index)
+
     def __eq__(self, other: object) -> bool:
         """Record-by-record equality, in order (bitwise field values)."""
         if not isinstance(other, ResultSet):
             return NotImplemented
         return self._records == other._records
 
-    def _backing_frame(self) -> Optional[Tuple[ResultFrame, np.ndarray]]:
-        """``(frame, row_indices)`` when every entry is a row of one
-        frame — the column fast path for ``values``/``save``."""
-        if not self._records:
-            return None
-        first = self._records[0]
-        if not isinstance(first, FrameRow):
-            return None
-        frame = first.frame
-        idx = np.empty(len(self._records), dtype=np.intp)
-        for j, e in enumerate(self._records):
-            if not isinstance(e, FrameRow) or e.frame is not frame:
-                return None
-            idx[j] = e.index
-        return frame, idx
+    def _frame_groups(self) -> Tuple[List[_Group], List[int]]:
+        """Entries by backing frame — ``(frame, positions, frame
+        rows)`` per frame — and the positions of plain-dict entries."""
+        groups: Dict[int, _Group] = {}
+        plain: List[int] = []
+        last = None
+        for j, r in enumerate(self._records):
+            if type(r) is not FrameRow:
+                plain.append(j)
+                continue
+            if r.frame is not last:  # rows of one frame come in runs
+                last = r.frame
+                g = groups.setdefault(id(last), (last, [], []))
+            g[1].append(j)
+            g[2].append(r.index)
+        return list(groups.values()), plain
 
     def failures(self) -> "ResultSet":
         """Failed-task stubs recorded by the fault-tolerant sweep."""
@@ -183,14 +195,15 @@ class ResultSet:
 
         Equality-only filters over a frame-backed set run column-wise:
         one vectorized mask per field instead of one cell access per
-        record per field, and the surviving rows are re-keyed from the
-        config columns without materializing any row dict.
+        record per field, and the surviving rows keep their config keys
+        without materializing any row dict.
         """
         out = ResultSet()
-        backing = (self._backing_frame()
-                   if predicate is None and equals else None)
-        if backing is not None and all(k in backing[0].keys for k in equals):
-            frame, idx = backing
+        groups, plain = (self._frame_groups() if predicate is None
+                         and equals else ([], [0]))
+        if (len(groups) == 1 and not plain
+                and all(k in groups[0][0].keys for k in equals)):
+            frame, _, idx = groups[0]
             keep = np.ones(len(idx), dtype=bool)
             for k, v in equals.items():
                 col = frame.column(k)[idx]
@@ -199,11 +212,10 @@ class ResultSet:
                                         dtype=bool, count=len(col))
                 else:
                     keep &= col == v
-            kept = np.nonzero(keep)[0]
-            key_cols = [frame.column(k)[idx[kept]].tolist()
-                        for k in CONFIG_KEYS]
-            for j, key in zip(kept.tolist(), zip(*key_cols)):
-                out._add_keyed(key, self._records[j])
+            kept = np.nonzero(keep)[0].tolist()
+            keys = list(self._index)
+            out.add_keyed([keys[j] for j in kept],
+                          [self._records[j] for j in kept])
             return out
         for r in self._records:
             if any(r.get(k) != v for k, v in equals.items()):
@@ -214,19 +226,30 @@ class ResultSet:
         return out
 
     def values(self, field: str) -> np.ndarray:
-        """Field values as an array (None/missing -> nan).
+        """Field values as an array (None/missing -> nan)."""
+        return self.columns([field])[field]
 
-        Frame-backed sets slice the column directly — no per-record
-        materialization on the warm analysis path.
-        """
-        backing = self._backing_frame()
-        if backing is not None:
-            frame, idx = backing
-            if field in frame.keys and frame.column_kind(field) != "obj":
-                return frame.column(field)[idx].astype(np.float64)
-        vals = [r.get(field) for r in self._records]
-        return np.array([np.nan if v is None else v for v in vals],
-                        dtype=np.float64)
+    def columns(self, fields: Sequence[str]) -> Dict[str, np.ndarray]:
+        """:meth:`values` of several fields: numeric columns are read
+        with one fancy-indexing gather per backing frame; plain-dict
+        entries and object-column cells one at a time."""
+        groups, plain = self._frame_groups()
+        out = {}
+        for field in fields:
+            col = out[field] = np.full(len(self._records), np.nan)
+            slow = list(plain)
+            for frame, pos, rows in groups:
+                if field not in frame.keys:
+                    continue
+                if frame.column_kind(field) == "obj":
+                    slow += pos
+                else:
+                    col[pos] = frame.column(field)[rows]
+            for j in slow:
+                v = self._records[j].get(field)
+                if v is not None:
+                    col[j] = v
+        return out
 
     def unique(self, field: str) -> List:
         seen: List = []

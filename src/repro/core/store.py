@@ -27,12 +27,12 @@ Since the columnar data plane (DESIGN §10) the store also speaks a
 **block** line format: one ``{"__block__": ...}`` JSONL line carries a
 whole :class:`~repro.core.frame.ResultFrame` of records sharing one
 ``(mode, ranks, code_version)`` identity plus their per-record keys and
-a common provenance.  Per-record keys are computed vectorized from the
-frame's columns (:func:`store_keys_frame`) and are bit-identical to
-:func:`store_key` of the same inputs, so a store written by the
-columnar path serves the same content addresses as the dict path.
-Entries loaded from a block stay columnar: ``get`` materializes a thin
-entry dict whose ``record`` is a lazy ``FrameRow`` view.
+a common provenance.  Per-record keys are rendered from the frame's
+columns (:func:`config_fragments` + :func:`store_keys`) and are
+bit-identical to :func:`store_key` of the same inputs, so a store
+written by the columnar path serves the same content addresses as the
+dict path.  Entries loaded from a block stay columnar: ``get`` and
+``get_many`` hand out lazy ``FrameRow`` views of the stored frame.
 
 Observability: ``store.hit`` / ``store.miss`` / ``store.put`` /
 ``store.invalidated`` / ``store.corrupt_lines``, plus
@@ -52,7 +52,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -63,11 +62,11 @@ from typing import (
 
 from ..obs import get_metrics
 from .canon import canonical_dumps, canonical_loads, content_digest
-from .frame import ResultFrame, scalar_fragment
+from .frame import FrameRow, ResultFrame, scalar_fragment
 
-__all__ = ["ResultStore", "make_provenance", "store_key",
-           "store_keys_batch", "store_keys_frame",
-           "STORE_KEY_SCHEMA", "STORE_BLOCK_KEY", "STORE_BLOCK_SCHEMA"]
+__all__ = ["ResultStore", "make_provenance", "store_key", "store_keys",
+           "config_fragments", "STORE_KEY_SCHEMA", "STORE_BLOCK_KEY",
+           "STORE_BLOCK_SCHEMA"]
 
 #: Version tag of the key schema.  Bump when the keyed-input structure
 #: changes so old entries can never alias new keys.
@@ -105,90 +104,36 @@ _AXIS_KEYS_SORTED: Tuple[str, ...] = (
     "cache", "core", "cores", "frequency", "memory", "vector")
 
 
-def _config_fragment(config: Mapping[str, Any],
-                     memo: Optional[Dict[Any, str]] = None) -> str:
-    """The ``"config":{...}`` inner text of a key serialization,
-    byte-identical to ``canonical_dumps(dict(config))``."""
-    items = sorted(config.items())
+def config_fragments(columns: Mapping[str, Sequence[Any]]) -> List[str]:
+    """Per-row ``"config"`` key text from the six axes' value columns,
+    each ``"axis":value`` rendered once per distinct value; row ``i``
+    is byte-identical to ``canonical_dumps`` of its config mapping."""
     parts = []
-    for k, v in items:
-        if memo is not None:
-            frag = memo.get(v)
-            if frag is None:
-                frag = memo[v] = scalar_fragment(v)
-        else:
-            frag = scalar_fragment(v)
-        parts.append(json.dumps(k) + ":" + frag)
-    return "{" + ",".join(parts) + "}"
+    for k in _AXIS_KEYS_SORTED:
+        # Keyed on (type, value): ``2 == 2.0`` but they render apart.
+        typed = list(zip(map(type, columns[k]), columns[k]))
+        head = json.dumps(k) + ":"
+        memo = {t: head + scalar_fragment(t[1])
+                for t in dict.fromkeys(typed)}
+        parts.append(list(map(memo.__getitem__, typed)))
+    return ["{" + ",".join(row) + "}" for row in zip(*parts)]
 
 
-def _key_text_parts(app: str, mode: str, ranks: int,
-                    code_version: str) -> Tuple[str, str]:
-    """(head, tail) around the config fragment of one key text.
-
-    Splicing ``head + config_fragment + tail`` reproduces
-    ``canonical_dumps`` of the keyed-input dict byte-for-byte (sorted
-    top-level keys: app, code_version, config, mode, ranks, schema).
-    """
-    head = ('{"app":' + json.dumps(app)
-            + ',"code_version":' + json.dumps(code_version)
-            + ',"config":')
+def store_keys(apps: Sequence[str], fragments: Sequence[str], mode: str,
+               ranks: int, code_version: str) -> List[str]:
+    """The store key of each ``(apps[i], fragments[i])`` point: the key
+    text spliced around :func:`config_fragments` output, bit-identical
+    to :func:`store_key` (pinned by the store tests)."""
+    # Sorted top-level keys, as canonical_dumps orders them.
     tail = (',"mode":' + json.dumps(mode)
             + ',"ranks":' + str(int(ranks))
             + ',"schema":' + str(STORE_KEY_SCHEMA) + "}")
-    return head, tail
-
-
-def store_keys_batch(app: str, configs: Sequence[Mapping[str, Any]],
-                     mode: str, ranks: int,
-                     code_version: str) -> List[str]:
-    """Vectorized :func:`store_key` over one app's config sequence.
-
-    Renders each key text by fragment splicing (axis values memoized
-    across rows — a design space reuses a handful of labels) instead of
-    building and canonically serializing one dict per point.
-    Bit-identical to calling :func:`store_key` per config.
-    """
-    head, tail = _key_text_parts(app, mode, ranks, code_version)
-    memo: Dict[Any, str] = {}
-    return [
-        hashlib.sha256(
-            (head + _config_fragment(cfg, memo) + tail).encode("utf-8")
-        ).hexdigest()
-        for cfg in configs
-    ]
-
-
-def store_keys_frame(frame: ResultFrame, mode: str, ranks: int,
-                     code_version: str) -> List[str]:
-    """Per-row store keys of a result frame, from its columns.
-
-    The frame's config columns carry exactly the values
-    ``NodeConfig.axis_values()`` reports (labels and axis scalars), so
-    the keys are bit-identical to :func:`store_key` over the same
-    points — pinned by the store tests.
-    """
-    cols = {k: frame.column(k).tolist() for k in _AXIS_KEYS_SORTED}
-    apps = frame.column("app").tolist()
-    memo: Dict[Any, str] = {}
-    heads: Dict[str, Tuple[str, str]] = {}
-    keys = []
-    for i in range(len(frame)):
-        app = apps[i]
-        parts = heads.get(app)
-        if parts is None:
-            parts = heads[app] = _key_text_parts(
-                app, mode, ranks, code_version)
-        frags = []
-        for k in _AXIS_KEYS_SORTED:
-            v = cols[k][i]
-            frag = memo.get(v)
-            if frag is None:
-                frag = memo[v] = scalar_fragment(v)
-            frags.append('"' + k + '":' + frag)
-        text = parts[0] + "{" + ",".join(frags) + "}" + parts[1]
-        keys.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
-    return keys
+    heads = {app: ('{"app":' + json.dumps(app) + ',"code_version":'
+                   + json.dumps(code_version) + ',"config":')
+             for app in dict.fromkeys(apps)}
+    sha = hashlib.sha256
+    return [sha((heads[app] + frag + tail).encode("utf-8")).hexdigest()
+            for app, frag in zip(apps, fragments)]
 
 
 class _Block:
@@ -360,6 +305,22 @@ class ResultStore:
         get_metrics().inc("store.hit" if slot is not None else "store.miss")
         return None if slot is None else self._materialize(slot)
 
+    def get_many(self, keys: Sequence[str]) -> List[Optional[Mapping]]:
+        """The stored record for each key (``None`` on a miss), with one
+        lock and one ``store.hit``/``store.miss`` increment per call.
+        Block-backed records are lazy ``FrameRow`` views."""
+        with self._lock:
+            slots = list(map(self._entries.get, keys))
+        misses = slots.count(None)
+        obs = get_metrics()
+        if misses < len(slots):
+            obs.inc("store.hit", len(slots) - misses)
+        if misses:
+            obs.inc("store.miss", misses)
+        return [None if s is None
+                else FrameRow(s[0].frame, s[1]) if type(s) is tuple
+                else s["record"] for s in slots]
+
     def put(self, key: str, record: Dict, inputs: Dict,
             provenance: Dict) -> Dict:
         """Store one evaluated design point (idempotent per key).
@@ -392,7 +353,11 @@ class ResultStore:
         the columnar data plane's store write path.  Returns the
         per-row keys for *all* rows, stored or pre-existing.
         """
-        keys = store_keys_frame(frame, mode, ranks, code_version)
+        keys = store_keys(
+            frame.column("app").tolist(),
+            config_fragments({k: frame.column(k).tolist()
+                              for k in _AXIS_KEYS_SORTED}),
+            mode, ranks, code_version)
         with self._lock:
             fresh = [i for i, k in enumerate(keys)
                      if k not in self._entries]

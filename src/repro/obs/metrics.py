@@ -217,6 +217,7 @@ def summarize(snap: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     * ``serve_requests`` / ``serve_coalesced`` — queries handled by the
       serve front end, and duplicates that coalesced onto an identical
       in-flight evaluation instead of racing the engine;
+    * ``serve_timeouts`` — connections answered 408 (request too slow);
     * ``timeout_unavailable`` — tasks that requested a ``timeout_s``
       budget on a platform or thread without ``SIGALRM`` and ran
       unbudgeted instead;
@@ -288,6 +289,7 @@ def summarize(snap: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         "store_invalidated": c.get("store.invalidated", 0),
         "serve_requests": c.get("serve.requests", 0),
         "serve_coalesced": c.get("serve.singleflight.coalesced", 0),
+        "serve_timeouts": c.get("serve.timeouts", 0),
         "timeout_unavailable": c.get("sweep.timeout_unavailable", 0),
         "sweep_shards": c.get("sweep.shards", 0),
         "sweep_steals": c.get("sweep.steals", 0),

@@ -31,6 +31,10 @@ __all__ = ["ReproServer", "serve_forever"]
 _MAX_BODY = 8 * 1024 * 1024
 _MAX_HEADER_LINES = 64
 
+#: Seconds a client has to deliver one whole request; a slow or partial
+#: one gets 408 (``serve.timeouts``) instead of holding the connection.
+_READ_TIMEOUT_S = 10.0
+
 
 class _BadRequest(Exception):
     pass
@@ -98,7 +102,7 @@ def _render_payload(payload: Dict) -> str:
 
 def _response(status: int, payload: Dict) -> bytes:
     reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-              405: "Method Not Allowed",
+              405: "Method Not Allowed", 408: "Request Timeout",
               500: "Internal Server Error"}.get(status, "OK")
     body = (_render_payload(payload) + "\n").encode("utf-8")
     head = (f"HTTP/1.1 {status} {reason}\r\n"
@@ -146,7 +150,14 @@ class ReproServer:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             try:
-                method, path, body = await _read_request(reader)
+                method, path, body = await asyncio.wait_for(
+                    _read_request(reader), _READ_TIMEOUT_S)
+            except asyncio.TimeoutError:
+                get_metrics().inc("serve.timeouts")
+                writer.write(_response(408, {
+                    "ok": False, "error": "request not received within "
+                                          f"{_READ_TIMEOUT_S:g} s"}))
+                return
             except (_BadRequest, asyncio.IncompleteReadError,
                     UnicodeDecodeError) as exc:
                 writer.write(_response(400, {"ok": False,

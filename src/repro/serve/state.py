@@ -51,7 +51,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,7 +68,7 @@ from ..core.batch import BatchEvaluator
 from ..core.canon import content_digest
 from ..core.musa import Musa
 from ..core.results import ResultSet
-from ..core.store import ResultStore, store_keys_batch
+from ..core.store import ResultStore, config_fragments, store_keys
 from ..obs import get_metrics
 
 __all__ = ["QueryError", "ServeState"]
@@ -75,6 +76,12 @@ __all__ = ["QueryError", "ServeState"]
 
 class QueryError(ValueError):
     """A malformed or unanswerable query (HTTP 400, not a server bug)."""
+
+
+def _rows(space: DesignSpace) -> List[Tuple]:
+    """Axis-value tuples of the space in ``configs()`` order, without
+    building a ``NodeConfig``."""
+    return list(product(*(space.axis_values(axis) for axis in AXES)))
 
 
 class _Flight:
@@ -166,7 +173,7 @@ class ServeState:
         if kind not in ("sweep", "best", "delta"):
             raise QueryError(
                 f"unknown query kind {kind!r}; expected sweep|best|delta")
-        apps = list(query.get("apps") or APP_NAMES)
+        apps = list(dict.fromkeys(query.get("apps") or APP_NAMES))
         for app in apps:
             if app not in APP_NAMES:
                 raise QueryError(f"unknown app {app!r}; known: {APP_NAMES}")
@@ -232,44 +239,31 @@ class ServeState:
         sweep order (app-major, then space row-major) — exactly
         :func:`run_sweep`'s result order.
 
-        Store hits are returned as stored; only misses are evaluated,
-        one batched engine call per app, and written back with
-        provenance.
+        One batched store lookup resolves the whole query; only misses
+        build ``NodeConfig``s, evaluated with one batched engine call
+        and written back as one block per app.
         """
         space = space if space is not None else self._space(norm)
-        mode, ranks = norm["mode"], norm["ranks"]
-        nodes = space.configs()
-        axes = [node.axis_values() for node in nodes]
-        # Vectorized content addressing: one fragment-spliced key render
-        # per point instead of a dict build + canonical serialization
-        # (bit-identical to store_key, pinned by the store tests).
-        keys = {}
-        for app in norm["apps"]:
-            for i, key in enumerate(store_keys_batch(
-                    app, axes, mode, ranks, self.code_version)):
-                keys[(app, i)] = key
+        mode, ranks, apps = norm["mode"], norm["ranks"], norm["apps"]
+        frags = config_fragments(dict(zip(AXES, zip(*_rows(space)))))
+        n = len(frags)
+        records = self.store.get_many(store_keys(
+            [app for app in apps for _ in range(n)], frags * len(apps),
+            mode, ranks, self.code_version))
+        missing = [j for j, rec in enumerate(records) if rec is None]
 
-        records: Dict[Tuple[str, int], Dict] = {}
-        misses: Dict[str, List[int]] = {}
-        hits = 0
-        for (app, i), key in keys.items():
-            entry = self.store.get(key)
-            if entry is not None:
-                records[(app, i)] = entry["record"]
-                hits += 1
-            else:
-                misses.setdefault(app, []).append(i)
-
-        evaluated = 0
-        if misses:
+        if missing:
+            misses: Dict[int, List[int]] = {}
+            for j in missing:
+                misses.setdefault(j // n, []).append(j % n)
             with self._engine_lock:
                 reg = get_metrics()
-                for app, idxs in misses.items():
+                for a, idxs in misses.items():
                     before = reg.snapshot()
-                    frame = self._evaluator(app).evaluate_frame(
-                        [nodes[i] for i in idxs], n_ranks=ranks, mode=mode)
+                    frame = self._evaluator(apps[a]).evaluate_frame(
+                        [space.config_at(i) for i in idxs],
+                        n_ranks=ranks, mode=mode)
                     delta = reg.delta(before, reg.snapshot())
-                    evaluated += len(idxs)
                     # Whole-batch counter deltas, attributed to each
                     # entry of the batch: enough to audit *what kind* of
                     # engine work produced it (phase sims, replay
@@ -279,17 +273,15 @@ class ServeState:
                             "batch_size": len(idxs),
                             "obs": delta.get("counters", {})}
                     # One columnar block line stores the whole batch;
-                    # its vectorized keys match keys[(app, i)] exactly.
+                    # its keys match the lookup's exactly.
                     self.store.put_frame(frame, mode, ranks,
                                          self.code_version, prov)
                     for j, i in enumerate(idxs):
-                        records[(app, i)] = frame.row(j)
+                        records[a * n + i] = frame.row(j)
 
-        ordered = [records[(app, i)] for app in norm["apps"]
-                   for i in range(len(nodes))]
-        served = {"store_hits": hits, "evaluated": evaluated,
-                  "points": len(ordered)}
-        return ordered, served
+        served = {"store_hits": len(records) - len(missing),
+                  "evaluated": len(missing), "points": len(records)}
+        return records, served
 
     # -- answers --------------------------------------------------------------
 
@@ -307,17 +299,17 @@ class ServeState:
         return {"records": records}, served
 
     def _q_best(self, norm: Dict) -> Tuple[Dict, Dict]:
-        records, served = self._sweep_records(norm)
-        results = ResultSet(records)
-        cap_j = norm.get("energy_cap_j")
-        if cap_j is not None:
-            results = results.filter(
-                lambda r: r.get("energy_j") is not None
-                and r["energy_j"] <= cap_j)
-        cons = Constraints(power_cap_w=norm.get("power_cap_w"),
-                           area_cap_mm2=norm.get("area_cap_mm2"),
-                           min_frequency_ghz=norm.get("min_frequency_ghz"))
+        space = self._space(norm)
+        records, served = self._sweep_records(norm, space)
+        results = ResultSet()  # keyed as addressed: no per-record check
+        results.add_keyed(((app,) + row for app in norm["apps"]
+                           for row in _rows(space)), records)
         try:
+            cons = Constraints(power_cap_w=norm.get("power_cap_w"),
+                               area_cap_mm2=norm.get("area_cap_mm2"),
+                               min_frequency_ghz=norm.get(
+                                   "min_frequency_ghz"),
+                               energy_cap_j=norm.get("energy_cap_j"))
             choice = optimize_node(results, objective=norm["objective"],
                                    constraints=cons, apps=norm["apps"])
         except ValueError as exc:

@@ -10,9 +10,19 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.apps import APP_NAMES
+from repro.config.space import full_design_space, range_design_space
 from repro.core.canon import canonical_loads
-from repro.core.store import ResultStore, store_key
+from repro.core.frame import FrameRow, ResultFrame
+from repro.core.store import (
+    ResultStore,
+    config_fragments,
+    store_key,
+    store_keys,
+)
 from repro.obs import MetricsRegistry, get_metrics, set_metrics
 
 
@@ -59,6 +69,137 @@ class TestStoreKey:
         assert store_key("lulesh", CONFIG, "fast", 256, "v2") != base
         other = dict(CONFIG, vector=512)
         assert store_key("lulesh", other, "fast", 256, "v1") != base
+
+
+def _rendered_keys(apps, configs, mode, ranks, code_version):
+    """``store_keys`` over every (app, config), app-major."""
+    frags = config_fragments(
+        {k: [c[k] for c in configs] for k in CONFIG})
+    return store_keys([a for a in apps for _ in frags],
+                      frags * len(apps), mode, ranks, code_version)
+
+
+_AXIS_VALUE = {
+    "core": st.sampled_from(["lowend", "medium", "high", "aggressive"])
+    | st.text(max_size=6),
+    "cache": st.sampled_from(["32M:256K", "64M:512K", "96M:1M"])
+    | st.text(max_size=6),
+    "memory": st.sampled_from(["4chDDR4", "8chDDR4", "16chHBM"]),
+    "frequency": st.sampled_from([1.1, 2.0, 3.9000000000000004, 1.5])
+    | st.floats(0.1, 10.0) | st.integers(1, 8),
+    "vector": st.sampled_from([64, 128, 256, 512, 1024, 2048]),
+    "cores": st.integers(1, 512),
+}
+
+
+class TestKeyRenderer:
+    """``config_fragments`` + ``store_keys`` are pinned bit-identical
+    to :func:`store_key`, the dict-based content address."""
+
+    @pytest.mark.parametrize("mode,ranks,code_version", [
+        ("fast", 256, "v1"), ("replay", 16, "e4fe0fd"),
+        ("replay", 256, "bench")])
+    def test_full_space_every_app(self, mode, ranks, code_version):
+        configs = [n.axis_values() for n in full_design_space()]
+        got = _rendered_keys(APP_NAMES, configs, mode, ranks, code_version)
+        want = [store_key(a, c, mode, ranks, code_version)
+                for a in APP_NAMES for c in configs]
+        assert got == want
+
+    def test_range_space_floats(self):
+        space = range_design_space().restrict(
+            core="high", cache="64M:512K", memory="8chDDR4", vector=256)
+        configs = [n.axis_values() for n in space]
+        assert {1.1, 2.0, 3.9000000000000004} <= \
+            {c["frequency"] for c in configs}
+        got = _rendered_keys(["lulesh", "spmz"], configs, "fast", 64, "r")
+        assert got == [store_key(a, c, "fast", 64, "r")
+                       for a in ("lulesh", "spmz") for c in configs]
+
+    @settings(max_examples=150, deadline=None)
+    @given(configs=st.lists(st.fixed_dictionaries(_AXIS_VALUE),
+                            min_size=1, max_size=12),
+           apps=st.lists(st.sampled_from(APP_NAMES) | st.text(max_size=5),
+                         min_size=1, max_size=3),
+           mode=st.sampled_from(["fast", "replay"]),
+           ranks=st.integers(1, 4096),
+           code_version=st.text(min_size=1, max_size=10))
+    def test_matches_store_key(self, configs, apps, mode, ranks,
+                               code_version):
+        got = _rendered_keys(apps, configs, mode, ranks, code_version)
+        assert got == [store_key(a, c, mode, ranks, code_version)
+                       for a in apps for c in configs]
+
+    def test_int_and_float_values_key_apart(self):
+        # 2 == 2.0 hash alike; the fragment memo must not conflate them.
+        configs = [dict(CONFIG, frequency=2), dict(CONFIG, frequency=2.0)]
+        got = _rendered_keys(["lulesh"], configs, "fast", 256, "v")
+        assert got[0] != got[1]
+        assert got == [store_key("lulesh", c, "fast", 256, "v")
+                       for c in configs]
+
+
+class TestGetMany:
+    """The batched lookup over block and scalar-line slots."""
+
+    @staticmethod
+    def _fill(store):
+        scalar_keys = []
+        for i in range(3):
+            key, rec, inputs, prov = _entry_args(i, app=APP_NAMES[i])
+            store.put(key, dict(rec, app=APP_NAMES[i]), inputs, prov)
+            scalar_keys.append(key)
+        records = [dict(CONFIG, app="spmz", vector=v, time_ns=float(v))
+                   for v in (256, 512)]
+        block_keys = store.put_frame(ResultFrame.from_records(records),
+                                     "fast", 256, "abc1234",
+                                     {"engine": "batch"})
+        return scalar_keys, block_keys, records
+
+    def _check(self, store, scalar_keys, block_keys, records, reg):
+        missing = store_key("hydro", CONFIG, "fast", 256, "nope")
+        keys = [block_keys[1], missing, scalar_keys[0], block_keys[0],
+                missing, scalar_keys[2]]
+        hits, misses = reg.counter("store.hit"), reg.counter("store.miss")
+        got = store.get_many(keys)
+        assert reg.counter("store.hit") - hits == 4
+        assert reg.counter("store.miss") - misses == 2
+        assert got[1] is None and got[4] is None
+        assert isinstance(got[0], FrameRow) and got[0] == records[1]
+        assert isinstance(got[3], FrameRow) and got[3] == records[0]
+        for j, key in ((2, scalar_keys[0]), (5, scalar_keys[2])):
+            assert type(got[j]) is dict
+            assert got[j] == store.entries()[
+                [e["key"] for e in store.entries()].index(key)]["record"]
+        assert store.get_many([]) == []
+
+    def test_mixed_slots_and_misses(self, tmp_path, fresh_metrics):
+        with ResultStore(tmp_path / "s.jsonl") as store:
+            filled = self._fill(store)
+            self._check(store, *filled, fresh_metrics)
+
+    def test_reloaded_from_disk(self, tmp_path, fresh_metrics):
+        with ResultStore(tmp_path / "s.jsonl") as store:
+            filled = self._fill(store)
+        with ResultStore(tmp_path / "s.jsonl") as store:
+            self._check(store, *filled, fresh_metrics)
+
+    def test_one_counter_increment_per_call(self, tmp_path):
+        reg = MetricsRegistry()
+        prev = set_metrics(reg)
+        calls = []
+        inc = reg.inc
+        reg.inc = lambda name, n=1: (calls.append(name), inc(name, n))
+        try:
+            with ResultStore(tmp_path / "s.jsonl") as store:
+                scalar_keys, block_keys, _ = self._fill(store)
+                calls.clear()
+                store.get_many(scalar_keys + block_keys + ["0" * 64] * 3)
+        finally:
+            set_metrics(prev)
+        assert sorted(calls) == ["store.hit", "store.miss"]
+        assert reg.counter("store.hit") == 5
+        assert reg.counter("store.miss") == 3
 
 
 class TestPersistence:

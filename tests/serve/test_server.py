@@ -7,6 +7,7 @@ smoke job exercises.
 
 import asyncio
 import json
+import socket
 import threading
 
 import pytest
@@ -14,7 +15,8 @@ import pytest
 from repro.core.canon import canonical_dumps
 from repro.core.store import ResultStore
 from repro.serve import ReproServer, ServeClient, ServeState
-from repro.obs import MetricsRegistry, set_metrics
+from repro.serve import server as server_mod
+from repro.obs import MetricsRegistry, set_metrics, summarize
 
 SMOKE_QUERY = {"kind": "sweep", "apps": ["spmz"], "space": "smoke"}
 
@@ -129,3 +131,24 @@ def test_malformed_body_is_400(server):
         assert resp.status == 400
     finally:
         conn.close()
+
+
+def test_partial_request_times_out_with_408(server, monkeypatch):
+    srv, reg = server
+    monkeypatch.setattr(server_mod, "_READ_TIMEOUT_S", 0.3)
+    with socket.create_connection(("127.0.0.1", srv.port),
+                                  timeout=30) as sock:
+        sock.sendall(b"POST /que")  # half a request line, then silence
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+    body = json.loads(reply.split(b"\r\n\r\n", 1)[1])
+    assert body["ok"] is False and "0.3 s" in body["error"]
+    assert reg.counter("serve.timeouts") == 1
+    assert summarize(reg.snapshot())["derived"]["serve_timeouts"] == 1
+    # The server keeps serving after dropping the slow client.
+    assert ServeClient(port=srv.port).health()["ok"]

@@ -13,15 +13,20 @@ The acceptance bar for the serve layer (PR 8):
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.analysis.optimize import Constraints, optimize_node
-from repro.config import smoke_design_space
+from repro.apps import APP_NAMES
+from repro.config import full_design_space, smoke_design_space
 from repro.core import ResultSet, run_sweep
 from repro.core.canon import canonical_dumps
+from repro.core.frame import FrameRow, ResultFrame
 from repro.core.store import ResultStore
 from repro.serve import QueryError, ServeState
 from repro.obs import MetricsRegistry, set_metrics
+
+from ..analysis.optimize_oracle import optimize_node_loop
 
 #: Counters that prove the engine ran: one fires per simulated node,
 #: the other per phase-column simulation (both modes).
@@ -174,6 +179,85 @@ class TestBestQuery:
         with pytest.raises(QueryError):
             state.handle({"kind": "best", "apps": ["spmz"],
                           "space": "smoke", "power_cap_w": 1e-3})
+
+    @pytest.mark.parametrize("field", ["power_cap_w", "area_cap_mm2",
+                                       "energy_cap_j"])
+    def test_non_positive_cap_is_a_query_error(self, state, field):
+        with pytest.raises(QueryError, match="must be positive"):
+            state.handle({"kind": "best", "apps": ["spmz"],
+                          "space": "smoke", field: 0})
+
+
+def _fill_synthetic(state, app, space, seed=0):
+    """Store made-up records for ``app`` over ``space`` (no engine)."""
+    rng = np.random.default_rng(seed)
+    configs = [n.axis_values() for n in space]
+    n = len(configs)
+    cols = {"app": [app] * n,
+            **{k: [c[k] for c in configs] for k in configs[0]},
+            # Few distinct times, so exact score ties occur.
+            "time_ns": rng.choice([1e9, 2e9, 4e9], n),
+            "energy_j": rng.uniform(1.0, 100.0, n),
+            "power_total_w": rng.uniform(50.0, 300.0, n)}
+    state.store.put_frame(ResultFrame.from_columns(list(cols), cols),
+                          "fast", 256, state.code_version, {"engine": "t"})
+
+
+class TestWarmBestPins:
+    """The warm ``best`` path: one batched lookup, no engine, no
+    materialized row dicts, and the loop oracle's answer."""
+
+    @pytest.fixture
+    def warm(self, state):
+        for i, app in enumerate(APP_NAMES):
+            _fill_synthetic(state, app, full_design_space(), seed=i)
+        return state
+
+    @pytest.mark.parametrize("objective", ["time_ns", "energy_j", "edp"])
+    def test_warm_five_app_best(self, warm, fresh_metrics, monkeypatch,
+                                objective):
+        def no_to_dict(self):
+            raise AssertionError("FrameRow.to_dict on the warm best path")
+
+        monkeypatch.setattr(FrameRow, "to_dict", no_to_dict)
+        query = {"kind": "best", "apps": list(APP_NAMES),
+                 "objective": objective}
+        response = warm.handle(query)
+        assert fresh_metrics.counter("store.hit") == 4320
+        assert fresh_metrics.counter("store.miss") == 0
+        assert response["served"]["evaluated"] == 0
+        for c in ENGINE_COUNTERS:
+            assert fresh_metrics.counter(c) == 0
+        monkeypatch.undo()
+        records = warm.handle({"kind": "sweep", "apps": list(APP_NAMES)})
+        want = optimize_node_loop(ResultSet(records["result"]["records"]),
+                                  objective=objective, apps=APP_NAMES)
+        got = response["result"]
+        assert got["config"] == want.config
+        assert got["score"].hex() == want.score.hex()
+        assert got["per_app"] == want.per_app
+        assert got["n_feasible"] == want.n_feasible
+
+    def test_half_warm_counts_exactly_its_misses(self, state,
+                                                 fresh_metrics):
+        space = smoke_design_space()
+        _fill_synthetic(state, "spmz", space.restrict(vector=128))
+        response = state.handle({"kind": "best", "apps": ["spmz"],
+                                 "space": "smoke"})
+        assert fresh_metrics.counter("store.hit") == N_SMOKE // 2
+        assert fresh_metrics.counter("store.miss") == N_SMOKE // 2
+        assert response["served"] == {
+            "store_hits": N_SMOKE // 2, "evaluated": N_SMOKE // 2,
+            "points": N_SMOKE, "code_version": "testver"}
+
+    def test_repeated_app_is_served_once(self, state):
+        once = state.handle(SMOKE_QUERY)
+        twice = state.handle(dict(SMOKE_QUERY, apps=["spmz", "spmz"]))
+        assert twice["result"] == once["result"]  # one normalized query
+        assert twice["served"]["points"] == N_SMOKE
+        best = state.handle({"kind": "best", "apps": ["spmz", "spmz"],
+                             "space": "smoke"})
+        assert best["result"]["per_app"].keys() == {"spmz"}
 
 
 class TestDeltaQuery:

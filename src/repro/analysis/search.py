@@ -228,7 +228,7 @@ def search_front(
         nodes = {i: space.config_at(i) for i in fresh}
         misses = fresh
         if store is not None:
-            found = store.get_many([store_key(
+            found = store.get([store_key(
                 app, nodes[i].axis_values(), mode, n_ranks, code_version)
                 for i in fresh])
             misses = [i for i, r in zip(fresh, found) if r is None]

@@ -625,8 +625,8 @@ def _build_result_plane(tier: str) -> BenchCase:
         col_store = ResultStore(d / f"col_store{col_run}.jsonl")
         dict_store = ResultStore(d / f"dict_store{dict_run}.jsonl")
         for k in dict_keys:
-            if canonical_dumps(col_store.get(k)) != \
-                    canonical_dumps(dict_store.get(k)):
+            if canonical_dumps(col_store.entry(k)) != \
+                    canonical_dumps(dict_store.entry(k)):
                 return (f"store entry {k[:12]} differs between the "
                         f"columnar and dict planes")
         # Cross-resume identity: the one-block journal and the

@@ -109,11 +109,13 @@ class DesignSpace:
     def __len__(self) -> int:
         return self._size
 
+    def rows(self) -> Iterator[Tuple]:
+        """Axis-value tuples in :data:`AXES` order, in the space's
+        canonical (row-major) order, without building ``NodeConfig``s."""
+        return product(*(self._axis(name) for name in AXES))
+
     def __iter__(self) -> Iterator[NodeConfig]:
-        for core, cache, mem, freq, vec, ncores in product(
-            self.core_labels, self.cache_labels, self.memory_labels,
-            self.frequencies, self.vector_widths, self.core_counts,
-        ):
+        for core, cache, mem, freq, vec, ncores in self.rows():
             yield NodeConfig(
                 core=core_preset(core),
                 cache=cache_preset(cache),

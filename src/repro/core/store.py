@@ -32,7 +32,7 @@ columns (:func:`config_fragments` + :func:`store_keys`) and are
 bit-identical to :func:`store_key` of the same inputs, so a store
 written by the columnar path serves the same content addresses as the
 dict path.  Entries loaded from a block stay columnar: ``get`` and
-``get_many`` hand out lazy ``FrameRow`` views of the stored frame.
+``entry`` hand out lazy ``FrameRow`` views of the stored frame.
 
 Observability: ``store.hit`` / ``store.miss`` / ``store.put`` /
 ``store.invalidated`` / ``store.corrupt_lines``, plus
@@ -201,7 +201,8 @@ class ResultStore:
           "provenance": {"engine", "created_s", "obs": {counter: delta}},
         }
 
-    ``get`` counts hits/misses; ``put`` appends (first occurrence wins,
+    ``get`` (a batch of records) and ``entry`` (one entry) count
+    hits/misses; ``put`` appends (first occurrence wins,
     consistent with the journal); ``invalidate`` removes matching
     entries and compacts the file atomically.
     """
@@ -294,8 +295,9 @@ class ResultStore:
         with self._lock:
             return [self._materialize(s) for s in self._entries.values()]
 
-    def get(self, key: str) -> Optional[Dict]:
-        """The stored entry for ``key``, counting the hit or miss.
+    def entry(self, key: str) -> Optional[Dict]:
+        """The stored entry for ``key`` (record, inputs and provenance),
+        counting the hit or miss.
 
         Block-backed entries materialize a thin dict whose ``record``
         is a lazy ``FrameRow`` view of the stored frame.
@@ -305,10 +307,13 @@ class ResultStore:
         get_metrics().inc("store.hit" if slot is not None else "store.miss")
         return None if slot is None else self._materialize(slot)
 
-    def get_many(self, keys: Sequence[str]) -> List[Optional[Mapping]]:
+    def get(self, keys: Sequence[str]) -> List[Optional[Mapping]]:
         """The stored record for each key (``None`` on a miss), with one
         lock and one ``store.hit``/``store.miss`` increment per call.
         Block-backed records are lazy ``FrameRow`` views."""
+        if isinstance(keys, str):
+            raise TypeError("get takes a sequence of keys; "
+                            "entry(key) looks up one entry")
         with self._lock:
             slots = list(map(self._entries.get, keys))
         misses = slots.count(None)

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import threading
 import time
-from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -76,12 +75,6 @@ __all__ = ["QueryError", "ServeState"]
 
 class QueryError(ValueError):
     """A malformed or unanswerable query (HTTP 400, not a server bug)."""
-
-
-def _rows(space: DesignSpace) -> List[Tuple]:
-    """Axis-value tuples of the space in ``configs()`` order, without
-    building a ``NodeConfig``."""
-    return list(product(*(space.axis_values(axis) for axis in AXES)))
 
 
 class _Flight:
@@ -234,10 +227,11 @@ class ServeState:
 
     def _sweep_records(self, norm: Dict,
                        space: Optional[DesignSpace] = None
-                       ) -> Tuple[List[Dict], Dict[str, int]]:
+                       ) -> Tuple[List[Tuple], List[Dict], Dict[str, int]]:
         """Records for every (app, config) of the query, in canonical
         sweep order (app-major, then space row-major) — exactly
-        :func:`run_sweep`'s result order.
+        :func:`run_sweep`'s result order — after the space's axis-value
+        rows they were keyed from.
 
         One batched store lookup resolves the whole query; only misses
         build ``NodeConfig``s, evaluated with one batched engine call
@@ -245,9 +239,10 @@ class ServeState:
         """
         space = space if space is not None else self._space(norm)
         mode, ranks, apps = norm["mode"], norm["ranks"], norm["apps"]
-        frags = config_fragments(dict(zip(AXES, zip(*_rows(space)))))
+        rows = list(space.rows())
+        frags = config_fragments(dict(zip(AXES, zip(*rows))))
         n = len(frags)
-        records = self.store.get_many(store_keys(
+        records = self.store.get(store_keys(
             [app for app in apps for _ in range(n)], frags * len(apps),
             mode, ranks, self.code_version))
         missing = [j for j, rec in enumerate(records) if rec is None]
@@ -281,7 +276,7 @@ class ServeState:
 
         served = {"store_hits": len(records) - len(missing),
                   "evaluated": len(missing), "points": len(records)}
-        return records, served
+        return rows, records, served
 
     # -- answers --------------------------------------------------------------
 
@@ -295,15 +290,14 @@ class ServeState:
                 "served": served}
 
     def _q_sweep(self, norm: Dict) -> Tuple[Dict, Dict]:
-        records, served = self._sweep_records(norm)
+        _, records, served = self._sweep_records(norm)
         return {"records": records}, served
 
     def _q_best(self, norm: Dict) -> Tuple[Dict, Dict]:
-        space = self._space(norm)
-        records, served = self._sweep_records(norm, space)
+        rows, records, served = self._sweep_records(norm)
         results = ResultSet()  # keyed as addressed: no per-record check
         results.add_keyed(((app,) + row for app in norm["apps"]
-                           for row in _rows(space)), records)
+                           for row in rows), records)
         try:
             cons = Constraints(power_cap_w=norm.get("power_cap_w"),
                                area_cap_mm2=norm.get("area_cap_mm2"),
@@ -324,8 +318,8 @@ class ServeState:
         axis, val_a, val_b = norm["axis"], norm["a"], norm["b"]
         space_a = self._space(norm, {axis: val_a})
         space_b = self._space(norm, {axis: val_b})
-        recs_a, served_a = self._sweep_records(norm, space_a)
-        recs_b, served_b = self._sweep_records(norm, space_b)
+        _, recs_a, served_a = self._sweep_records(norm, space_a)
+        _, recs_b, served_b = self._sweep_records(norm, space_b)
         # Both spaces iterate the non-delta axes in the same row-major
         # order, so records pair positionally.
         pairs = []

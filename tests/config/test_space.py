@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import DesignSpace, full_design_space, unconventional_configs
+from repro.config.space import AXES
 
 
 class TestFullSpace:
@@ -27,6 +28,11 @@ class TestFullSpace:
         assert space.samples_per_bar("vector") == 288
         assert space.samples_per_bar("core", panel_cores=64) == 72
         assert space.samples_per_bar("memory", panel_cores=64) == 144
+
+    def test_rows_follow_iteration_order(self):
+        space = full_design_space().restrict(frequency=(2.0, 1.5))
+        assert list(space.rows()) == [
+            tuple(n.axis_values()[a] for a in AXES) for n in space]
 
     def test_axis_values(self):
         space = full_design_space()

@@ -139,7 +139,7 @@ class TestKeyRenderer:
                        for c in configs]
 
 
-class TestGetMany:
+class TestBatchedGet:
     """The batched lookup over block and scalar-line slots."""
 
     @staticmethod
@@ -161,7 +161,7 @@ class TestGetMany:
         keys = [block_keys[1], missing, scalar_keys[0], block_keys[0],
                 missing, scalar_keys[2]]
         hits, misses = reg.counter("store.hit"), reg.counter("store.miss")
-        got = store.get_many(keys)
+        got = store.get(keys)
         assert reg.counter("store.hit") - hits == 4
         assert reg.counter("store.miss") - misses == 2
         assert got[1] is None and got[4] is None
@@ -171,7 +171,7 @@ class TestGetMany:
             assert type(got[j]) is dict
             assert got[j] == store.entries()[
                 [e["key"] for e in store.entries()].index(key)]["record"]
-        assert store.get_many([]) == []
+        assert store.get([]) == []
 
     def test_mixed_slots_and_misses(self, tmp_path, fresh_metrics):
         with ResultStore(tmp_path / "s.jsonl") as store:
@@ -194,7 +194,7 @@ class TestGetMany:
             with ResultStore(tmp_path / "s.jsonl") as store:
                 scalar_keys, block_keys, _ = self._fill(store)
                 calls.clear()
-                store.get_many(scalar_keys + block_keys + ["0" * 64] * 3)
+                store.get(scalar_keys + block_keys + ["0" * 64] * 3)
         finally:
             set_metrics(prev)
         assert sorted(calls) == ["store.hit", "store.miss"]
@@ -210,7 +210,7 @@ class TestPersistence:
             store.put(key, rec, inputs, prov)
         with ResultStore(path) as store:
             assert len(store) == 1
-            entry = store.get(key)
+            entry = store.entry(key)
         assert entry["record"] == rec
         assert entry["inputs"] == inputs
         assert entry["provenance"]["engine"] == "batch"
@@ -234,7 +234,7 @@ class TestPersistence:
             fh.write('{"key": "torn')  # crashed writer mid-line
         with ResultStore(path) as store:
             assert len(store) == 1
-            assert store.get(key) is not None
+            assert store.entry(key) is not None
         assert fresh_metrics.counter("store.corrupt_lines") == 1
 
     def test_duplicate_keys_first_wins(self, tmp_path, fresh_metrics):
@@ -253,7 +253,7 @@ class TestPersistence:
         with path.open("a") as fh:
             fh.write(canonical_dumps(altered) + "\n")
         with ResultStore(path) as store:
-            assert store.get(key)["record"] == rec
+            assert store.entry(key)["record"] == rec
         assert fresh_metrics.counter("store.duplicates_dropped") == 1
 
 
@@ -261,10 +261,10 @@ class TestCounters:
     def test_hit_and_miss_counted(self, tmp_path, fresh_metrics):
         key, rec, inputs, prov = _entry_args()
         with ResultStore(tmp_path / "s.jsonl") as store:
-            assert store.get(key) is None
+            assert store.entry(key) is None
             store.put(key, rec, inputs, prov)
-            assert store.get(key) is not None
-            assert store.get(key) is not None
+            assert store.entry(key) is not None
+            assert store.entry(key) is not None
         assert fresh_metrics.counter("store.miss") == 1
         assert fresh_metrics.counter("store.hit") == 2
         assert fresh_metrics.counter("store.put") == 1
@@ -329,7 +329,7 @@ class TestThreadSafety:
                     store.put(key, _record(i), inputs,
                               {"engine": "batch", "created_s": 0.0,
                                "obs": {}})
-                    assert store.get(key) is not None
+                    assert store.entry(key) is not None
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 

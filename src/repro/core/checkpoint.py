@@ -214,6 +214,7 @@ def replay_journal(path: Union[str, Path]) -> JournalReplay:
                     out.corrupt_lines += 1
                     continue
                 failed = _frame_failed_flags(frame)
+                fresh = []
                 for i, key in enumerate(keys):
                     if key in out.done:
                         out.duplicates += 1
@@ -222,8 +223,10 @@ def replay_journal(path: Union[str, Path]) -> JournalReplay:
                         stubs[key] = frame.row(i).to_dict()
                         continue
                     out.done.add(key)
-                    out.results.add_keyed((key,), (frame.row(i),))
+                    fresh.append(i)
                     stubs.pop(key, None)
+                out.results.add_keyed([keys[i] for i in fresh],
+                                      map(frame.row, fresh))
                 continue
             try:
                 key = task_key(record)
@@ -454,8 +457,9 @@ def merge_journal(
 
         merged.done.update(records)
         if collect:
-            for key in sorted(records):
-                merged.results.add_keyed((key,), (fetch.record(records[key]),))
+            order = sorted(records)
+            merged.results.add_keyed(
+                order, (fetch.record(records[key]) for key in order))
             merged.failed.extend(
                 dict(fetch.record(stubs[key])) for key in sorted(stubs))
     finally:

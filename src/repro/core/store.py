@@ -296,12 +296,8 @@ class ResultStore:
             return [self._materialize(s) for s in self._entries.values()]
 
     def entry(self, key: str) -> Optional[Dict]:
-        """The stored entry for ``key`` (record, inputs and provenance),
-        counting the hit or miss.
-
-        Block-backed entries materialize a thin dict whose ``record``
-        is a lazy ``FrameRow`` view of the stored frame.
-        """
+        """The stored entry (record, inputs, provenance) for ``key``,
+        counting the hit or miss; block records are ``FrameRow`` views."""
         with self._lock:
             slot = self._entries.get(key)
         get_metrics().inc("store.hit" if slot is not None else "store.miss")

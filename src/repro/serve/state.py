@@ -228,10 +228,9 @@ class ServeState:
     def _sweep_records(self, norm: Dict,
                        space: Optional[DesignSpace] = None
                        ) -> Tuple[List[Tuple], List[Dict], Dict[str, int]]:
-        """Records for every (app, config) of the query, in canonical
-        sweep order (app-major, then space row-major) — exactly
-        :func:`run_sweep`'s result order — after the space's axis-value
-        rows they were keyed from.
+        """The space's axis-value rows, then the records for every (app,
+        row) of the query in :func:`run_sweep`'s result order (app-major,
+        then space row-major).
 
         One batched store lookup resolves the whole query; only misses
         build ``NodeConfig``s, evaluated with one batched engine call

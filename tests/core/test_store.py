@@ -184,6 +184,11 @@ class TestBatchedGet:
         with ResultStore(tmp_path / "s.jsonl") as store:
             self._check(store, *filled, fresh_metrics)
 
+    def test_bare_key_is_refused(self, tmp_path, fresh_metrics):
+        with ResultStore(tmp_path / "s.jsonl") as store:
+            with pytest.raises(TypeError, match="entry"):
+                store.get("0" * 64)
+
     def test_one_counter_increment_per_call(self, tmp_path):
         reg = MetricsRegistry()
         prev = set_metrics(reg)

@@ -122,6 +122,13 @@ def main() -> int:
     assert dr["replay_events"] > 0 and dr["replay_messages"] > 0
     assert dr["replay_array_events"] > 0, \
         "batched replay sweep never priced an event on the array tape"
+    snap_r = reg_r.snapshot()
+    assert snap_r["counters"].get("replay.batch.array_fallbacks", 0) == 0, \
+        "a replay tape bailed out to the worklist driver"
+    n_tapes = snap_r["counters"].get("replay.tape.builds", 0)
+    assert n_tapes > 0 and dr["replay_tapes_built"] == n_tapes
+    assert snap_r["timers"]["replay.tape.build"]["count"] == n_tapes, \
+        "replay.tape.build spans do not match replay.tape.builds"
     print(f"  replay mode OK: {len(replay_1)} records identical across "
           f"1 and 2 workers, {int(dr['replay_events'])} events, "
           f"{int(dr['replay_messages'])} messages")

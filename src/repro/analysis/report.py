@@ -70,6 +70,13 @@ def format_metrics_summary(summary: Dict) -> str:
             ["replay forked groups", d.get("replay_forked_groups", 0)],
             ["replay peeled configs", d.get("replay_peeled_configs", 0)],
         ]
+    if d.get("burst_traces_built", 0) or d.get("replay_tapes_built", 0):
+        rows += [
+            ["burst traces built", d.get("burst_traces_built", 0)],
+            ["burst trace build time [s]", d.get("burst_trace_build_s", 0.0)],
+            ["replay tapes built", d.get("replay_tapes_built", 0)],
+            ["replay tape build time [s]", d.get("replay_tape_build_s", 0.0)],
+        ]
     if d.get("miss_batch_geometries", 0):
         rows.append(["miss-model geometries evaluated",
                      d.get("miss_batch_geometries", 0)])

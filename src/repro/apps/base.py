@@ -29,9 +29,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..trace.burst import BurstTrace, RankTrace
+from ..trace.burst import (
+    EV_COMPUTE,
+    EV_IRECV,
+    EV_ISEND,
+    EV_WAIT,
+    KIND_CODE,
+    BurstTrace,
+)
 from ..trace.detailed import DetailedTrace
-from ..trace.events import ComputePhase, MpiCall
+from ..trace.events import ComputePhase
 from ..trace.kernel import KernelSignature
 
 __all__ = ["AppModel", "rank_grid_dims", "grid_neighbors"]
@@ -194,42 +201,74 @@ class AppModel(ABC):
         Every iteration is: halo exchange (irecv/isend/waitall with the
         6 grid neighbours), the canonical compute phases, and the
         iteration-closing allreduce(s) — the dominant communication
-        skeleton of all five applications (Sec. V-A).
+        skeleton of all five applications (Sec. V-A).  Each rank's
+        stream is one iteration's template tiled over the iterations
+        (request ids run on from one exchange to the next), emitted
+        straight into the trace's event columns.
         """
         n_iter = n_iterations or self.default_iterations
         if n_iter <= 0:
             raise ValueError("n_iterations must be positive")
         dims = rank_grid_dims(n_ranks)
         phases = self.canonical_phases()
-        ranks = []
-        for r in range(n_ranks):
-            neighbours = grid_neighbors(r, dims)
-            events: List = []
-            req = 0
-            for _ in range(n_iter):
-                for phase in phases:
-                    # Boundary exchange feeding this phase.
-                    reqs: List[int] = []
-                    for nb in neighbours:
-                        events.append(MpiCall(kind="irecv", peer=nb,
-                                              size_bytes=self.halo_bytes,
-                                              tag=0, request=req))
-                        reqs.append(req)
-                        req += 1
-                    for nb in neighbours:
-                        events.append(MpiCall(kind="isend", peer=nb,
-                                              size_bytes=self.halo_bytes,
-                                              tag=0, request=req))
-                        reqs.append(req)
-                        req += 1
-                    for rq in reqs:
-                        events.append(MpiCall(kind="wait", request=rq))
-                    events.append(phase)
-                for _ in range(self.allreduce_per_iter):
-                    events.append(MpiCall(kind="allreduce", size_bytes=8))
-            ranks.append(RankTrace(rank=r, events=tuple(events)))
-        return BurstTrace(app=self.name, ranks=tuple(ranks),
-                          n_iterations=n_iter)
+        neighbours = [grid_neighbors(r, dims) for r in range(n_ranks)]
+        width = max(len(nbs) for nbs in neighbours)
+        # Neighbour table padded with -1; column ``width`` is always -1,
+        # the "no peer" slot every non-p2p row points at.
+        table = np.full((n_ranks, width + 1), -1, dtype=np.int64)
+        for r, nbs in enumerate(neighbours):
+            table[r, :len(nbs)] = nbs
+        templates = {}
+        cols: Tuple[List[np.ndarray], ...] = ([], [], [], [], [])
+        for nbs in neighbours:
+            m = len(nbs)
+            if m not in templates:
+                templates[m] = self._rank_template(m, len(phases), n_iter,
+                                                   width)
+            for col, part in zip(cols, templates[m]):
+                col.append(part)
+        kind, slot, size, request, phase = (np.concatenate(c) for c in cols)
+        lengths = np.array([p.size for p in cols[0]], dtype=np.int64)
+        rank = np.repeat(np.arange(n_ranks), lengths)
+        return BurstTrace.from_columns(
+            app=self.name,
+            offsets=np.concatenate(([0], np.cumsum(lengths))),
+            kind=kind, peer=table[rank, slot], size_bytes=size,
+            tag=np.zeros(kind.size, dtype=np.int64), request=request,
+            phase=phase, phases=phases, n_iterations=n_iter)
+
+    def _rank_template(self, m: int, n_phases: int, n_iter: int,
+                       none_slot: int) -> Tuple[np.ndarray, ...]:
+        """One rank's event columns for ``m`` neighbours: ``(kind,
+        neighbour slot, size, request, phase)``, the slot indexing the
+        rank's neighbour list (``none_slot`` for rows without a peer)."""
+        # One phase block: irecv and isend per neighbour, a wait per
+        # request, then the phase itself.
+        blk_kind = np.array([EV_IRECV] * m + [EV_ISEND] * m
+                            + [EV_WAIT] * (2 * m) + [EV_COMPUTE])
+        blk_slot = np.concatenate((np.arange(m), np.arange(m),
+                                   np.full(2 * m + 1, none_slot)))
+        blk_size = np.array([self.halo_bytes] * (2 * m) + [0] * (2 * m + 1))
+        blk_req = np.concatenate((np.arange(2 * m), np.arange(2 * m), [-1]))
+        n_ar = self.allreduce_per_iter
+        blk_len = blk_kind.size
+
+        def iteration(block_col, allreduce_value):
+            return np.concatenate((np.tile(block_col, n_phases),
+                                   np.full(n_ar, allreduce_value)))
+
+        kind = np.tile(iteration(blk_kind, KIND_CODE["allreduce"]), n_iter)
+        slot = np.tile(iteration(blk_slot, none_slot), n_iter)
+        size = np.tile(iteration(blk_size, 8), n_iter)
+        req = np.tile(iteration(blk_req, -1), n_iter)
+        block = np.tile(np.concatenate((np.repeat(np.arange(n_phases),
+                                                  blk_len),
+                                        np.full(n_ar, -1))), n_iter)
+        phase = np.where(kind == EV_COMPUTE, block, -1)
+        it_len = n_phases * blk_len + n_ar
+        block = block + n_phases * np.repeat(np.arange(n_iter), it_len)
+        request = np.where(req >= 0, req + 2 * m * block, -1)
+        return kind, slot, size, request, phase
 
     # -- bookkeeping -------------------------------------------------------------
 

@@ -231,7 +231,12 @@ class Verdict:
 
     @property
     def failed(self) -> bool:
-        return self.status in ("regression", "oracle-failed")
+        """A regression or oracle failure fails either tier; a missing
+        baseline fails the full tier (an unmeasured benchmark is not a
+        passing one) but not the smoke tier, so a new benchmark can land
+        in CI before its first smoke-tier append."""
+        return (self.status in ("regression", "oracle-failed")
+                or (self.status == "no-baseline" and self.tier == "full"))
 
 
 def check(
@@ -245,8 +250,8 @@ def check(
 
     Pure function of its inputs: for a fixed ledger, threshold and
     result set the verdicts are deterministic (property-tested).  A
-    benchmark with no usable baseline passes with ``no-baseline`` so a
-    newly registered benchmark cannot break CI before its first append.
+    benchmark with no usable baseline gets ``no-baseline``, which fails
+    the full tier and passes the smoke tier (:attr:`Verdict.failed`).
     Each result's paired calibration is preferred over the process-level
     ``calib_s`` fallback, mirroring :func:`make_entry`.
     """

@@ -65,6 +65,7 @@ REQUIRED_COUNTERS = (
     "replay.batch.driver.lockstep",
     "replay.batch.peeled_configs",
     "replay.events",
+    "replay.tape.builds",
     "sweep.batch.configs",
     "sweep.shards",
     "search.evaluated",
@@ -248,7 +249,7 @@ def _build_tape_replay(tier: str) -> BenchCase:
     return BenchCase(
         run=run, oracle=oracle,
         meta={"app": "lulesh", "n_ranks": n_ranks, "n_configs": n_cfg,
-              "n_events": sum(len(rt.events) for rt in trace.ranks)},
+              "n_events": trace.n_events},
         # driver.array must move: a silent tape bail-out runs the
         # worklist driver instead, and may not time the path this
         # benchmark claims to measure (worklist_events moves in the
@@ -258,6 +259,46 @@ def _build_tape_replay(tier: str) -> BenchCase:
                            "replay.batch.worklist_events"),
         record_counters=("replay.batch.driver.array",
                          "replay.batch.driver.worklist",
+                         "replay.batch.array_fallbacks"))
+
+
+def _build_trace_tape(tier: str) -> BenchCase:
+    # Replay set-up as a first replay-mode answer pays it: generate the
+    # burst trace, then price one config, which builds the structural
+    # tape.  Each run makes a fresh trace object, so the tape is cold.
+    app = get_app("lulesh")
+    musa = Musa(app)
+    n_ranks = 16 if tier == "smoke" else 256
+    inner = 8 if tier == "smoke" else 1
+    rank_scales = app.rank_scales(n_ranks)
+    phase_ns = {id(p): musa.burst_phase(p, 64).makespan_ns
+                for p in musa.phases}
+
+    def dur_batch(rank, phase):
+        return np.array([phase_ns[id(phase)] * rank_scales[rank]])
+
+    def dur_scalar(rank, phase):
+        return phase_ns[id(phase)] * rank_scales[rank]
+
+    def run():
+        out = None
+        for _ in range(inner):
+            trace = app.burst_trace(n_ranks)
+            out = (trace, replay_batch(trace, musa.network, dur_batch, 1))
+        return out
+
+    def oracle() -> Optional[str]:
+        trace, (batched,) = run()
+        ref = replay(trace, musa.network, dur_scalar, engine="event")
+        err = _replay_results_equal(batched, ref)
+        return f"cold trace + tape vs scalar replay: {err}" if err else None
+
+    return BenchCase(
+        run=run, oracle=oracle,
+        meta={"app": "lulesh", "n_ranks": n_ranks, "n_configs": 1},
+        required_counters=("replay.tape.builds",
+                           "replay.batch.driver.array"),
+        record_counters=("replay.tape.builds",
                          "replay.batch.array_fallbacks"))
 
 
@@ -361,7 +402,7 @@ def _build_event_engine(tier: str) -> BenchCase:
     return BenchCase(
         run=run, oracle=oracle,
         meta={"app": "lulesh", "n_ranks": n_ranks,
-              "n_events": sum(len(rt.events) for rt in trace.ranks)},
+              "n_events": trace.n_events},
         required_counters=("replay.events",))
 
 
@@ -714,6 +755,9 @@ REGISTRY: Dict[str, Benchmark] = {b.id: b for b in (
     Benchmark("micro.tape_replay", "micro",
               "level-batched array replay driver vs worklist driver and "
               "scalar replay", _build_tape_replay),
+    Benchmark("micro.trace_tape", "micro",
+              "cold burst-trace generation plus first tape build and "
+              "1-config array replay vs scalar replay", _build_trace_tape),
     Benchmark("micro.bus_arbitration", "micro",
               "finite-bus fork-on-divergence lockstep batch replay vs "
               "scalar replay", _build_bus_arbitration),

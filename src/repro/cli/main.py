@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--check", action="store_true",
                    help="regression gate: exit nonzero when any benchmark "
                         "regresses past --threshold vs its ledger baseline "
-                        "or any identity oracle fails")
+                        "or any identity oracle fails; on the full tier, "
+                        "also when a benchmark has no baseline")
     b.add_argument("--threshold", type=float, default=0.10,
                    help="allowed normalized-cost regression fraction "
                         "(default 0.10 = 10%%)")
@@ -856,7 +857,8 @@ def cmd_bench(args) -> int:
     if report_only:
         return 0
     if failed:
-        print("bench: FAILED (regression or identity-oracle failure)",
+        print("bench: FAILED (regression, identity-oracle failure or, "
+              "on the full tier, a benchmark with no baseline)",
               file=sys.stderr)
         return 1
     return 0

@@ -160,7 +160,9 @@ class Musa:
                      n_iterations: Optional[int]) -> BurstTrace:
         key = (n_ranks, n_iterations)
         if key not in self._trace_cache:
-            self._trace_cache[key] = self.app.burst_trace(n_ranks, n_iterations)
+            with get_metrics().span("trace.burst"):
+                self._trace_cache[key] = self.app.burst_trace(n_ranks,
+                                                              n_iterations)
         return self._trace_cache[key]
 
     def simulate_burst_full(

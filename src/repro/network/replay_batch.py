@@ -18,8 +18,9 @@ request completion times, collective entry times:
 
 **Array driver** (:func:`_run_array_tape`).  On the order-free path
 (see below) the event order is not just irrelevant — the whole matching
-is *structural*, so :func:`_build_tape` resolves it once in pure Python
-(no floats), levels the resulting value DAG by dependency depth, and
+is *structural*, so :func:`_build_tape` resolves it once with integer
+array passes over the trace's event columns (no floats), levels the
+resulting value DAG by dependency depth, and
 the driver executes it level by level with one NumPy pass per
 (level, kind) group: all of a level's eager sends price in one
 vectorized expression over (events-in-level x configs), and likewise
@@ -47,7 +48,7 @@ solely to serialize the finite-bus pool (see
 a key carrying both eager-buffered and rendezvous sends, where
 matching prefers whichever eager send is outstanding at discovery
 time.  :func:`_order_free` checks both conditions (``n_buses == 0``
-and protocol-pure keys, one O(events) scan); when they hold — they do
+and protocol-pure keys, a few array passes); when they hold — they do
 for the paper's MareNostrum4-like network, which has an unlimited bus
 pool — *any* structurally valid order yields, per configuration, the
 bit-exact scalar result, so one pass with a trivial run-until-blocked
@@ -109,7 +110,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import get_metrics
-from ..trace.burst import BurstTrace
+from ..trace.burst import (
+    EV_COLLECTIVE,
+    EV_COMPUTE,
+    EV_IRECV,
+    EV_ISEND,
+    EV_RECV,
+    EV_SEND,
+    EV_WAIT,
+    EVENT_KINDS,
+    BurstTrace,
+)
 from ..trace.events import ComputePhase, MpiCall
 from ..util import LruDict
 from .collectives import collective_cost_ns
@@ -528,15 +539,59 @@ def _order_free(trace: BurstTrace, net: NetworkConfig) -> bool:
     """
     if net.n_buses > 0:
         return False
-    classes: Dict[Tuple[int, int, int], bool] = {}
-    for rt in trace.ranks:
-        for ev in rt.events:
-            if isinstance(ev, MpiCall) and ev.kind in ("send", "isend"):
-                key = (rt.rank, ev.peer, ev.tag)
-                eager = ev.kind == "isend" or net.is_eager(ev.size_bytes)
-                if classes.setdefault(key, eager) != eager:
-                    return False
-    return True
+    p2p = _P2pColumns(trace, net)
+    _, key = np.unique(p2p.key[:p2p.n_sends], return_inverse=True)
+    n_eager = np.bincount(key, weights=p2p.eager)
+    return bool(((n_eager == 0) | (n_eager == np.bincount(key))).all())
+
+
+class _P2pColumns:
+    """The point-to-point rows of a trace, sends first then receives
+    (each side in event order), with their ``(src, dst, tag)`` key codes
+    and, for sends, transfer time and eager protocol (``net`` is asked
+    once per distinct send size)."""
+
+    def __init__(self, trace: BurstTrace, net: NetworkConfig) -> None:
+        kind = trace.kind
+        ranks = trace.event_ranks()
+        self.sends = np.flatnonzero((kind == EV_SEND) | (kind == EV_ISEND))
+        self.recvs = np.flatnonzero((kind == EV_RECV) | (kind == EV_IRECV))
+        self.n_sends = self.sends.size
+        rows = np.concatenate((self.sends, self.recvs))
+        src = np.concatenate((ranks[self.sends], trace.peer[self.recvs]))
+        dst = np.concatenate((trace.peer[self.sends], ranks[self.recvs]))
+        tags, tag = np.unique(trace.tag[rows], return_inverse=True)
+        n = trace.n_ranks
+        self.key = (src * n + dst) * max(tags.size, 1) + tag
+        sizes, size = np.unique(trace.size_bytes[self.sends],
+                                return_inverse=True)
+        transfer = np.array([net.transfer_ns(int(b)) for b in sizes],
+                            dtype=np.float64)
+        eager = np.array([net.is_eager(int(b)) for b in sizes], dtype=bool)
+        self.transfer = transfer[size]
+        self.eager = (kind[self.sends] == EV_ISEND) | eager[size]
+
+
+def _cumcount(keys: np.ndarray) -> np.ndarray:
+    """Per element, how many earlier elements share its key."""
+    order = np.argsort(keys, kind="stable")
+    ks = keys[order]
+    new = np.ones(ks.size, dtype=bool)
+    new[1:] = ks[1:] != ks[:-1]
+    starts = np.flatnonzero(new)
+    out = np.empty(ks.size, dtype=np.int64)
+    out[order] = np.arange(ks.size) - starts[np.cumsum(new) - 1]
+    return out
+
+
+def _group_firsts(keys: np.ndarray,
+                  pos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(group, first)``: each element's group id (groups numbered by
+    sorted key) and, per group, the smallest ``pos`` of its elements."""
+    uniq, group = np.unique(keys, return_inverse=True)
+    first = np.full(uniq.size, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(first, group, pos)
+    return group, first
 
 
 # --------------------------------------------------------------------- tape
@@ -549,9 +604,11 @@ def _order_free(trace: BurstTrace, net: NetworkConfig) -> bool:
 # request a wait consumes are all fixed by the trace alone.  The float
 # values then form a DAG: each event's output depends on the same rank's
 # previous event plus at most one cross-rank value (a message arrival, a
-# receive-post clock, or a collective's entry set).  _build_tape walks
-# the trace once (pure Python, no floats), resolves the matching, and
-# levels the DAG by depth; _run_array_tape then executes it level by
+# receive-post clock, or a collective's entry set).  _build_tape
+# resolves the matching on the trace's event columns (integer array
+# passes, no floats; the event-by-event walk it replaced is the test
+# oracle in tests/network/tape_oracle.py) and levels the DAG by depth
+# (_assemble_tape); _run_array_tape then executes it level by
 # level with one NumPy pass per (level, kind) group — the same float64
 # ops the scalar ``step`` performs, (events-in-level x configs) at a
 # time — instead of ~one Python ``step()`` call per event.  Because an
@@ -587,184 +644,184 @@ class _Tape:
 def _build_tape(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
     """Structural pre-pass: match, level, and group the whole replay.
 
+    Resolves the trace's event columns with array passes: FIFO pairing
+    per ``(src, dst, tag)`` side, message ids in first-touch order,
+    wait-to-request and collective membership lookups, node ids by
+    cumulative per-event node counts, then the same-rank and
+    cross-rank dependency edges.  Node and message ids equal those of
+    an event-by-event walk in rank-major order.
+
     Returns ``None`` when the trace cannot be fully resolved
-    structurally (it would deadlock, wait on an unknown request, or
+    structurally (it would deadlock, wait on an unmatched receive, or
     price a collective whose per-rank payloads disagree) — the caller
     then falls back to the worklist driver / scalar engine, which owns
     those diagnostics.
     """
     n = trace.n_ranks
-    events = [trace.ranks[r].events for r in range(n)]
-    n_events = sum(len(e) for e in events)
+    kind = trace.kind
+    n_events = trace.n_events
+    ranks = trace.event_ranks()
+    p2p = _P2pColumns(trace, net)
+    sends, recvs, ns = p2p.sends, p2p.recvs, p2p.n_sends
 
-    # Pass 1: per-key protocol (guaranteed pure by _order_free).
-    key_eager: Dict[Tuple[int, int, int], bool] = {}
-    for r in range(n):
-        for ev in events[r]:
-            if isinstance(ev, MpiCall) and ev.kind in ("send", "isend"):
-                key = (r, ev.peer, ev.tag)
-                key_eager[key] = (ev.kind == "isend"
-                                  or net.is_eager(ev.size_bytes))
+    # Per-key protocol: the key's last send's, in walk order.
+    _, kid = np.unique(p2p.key, return_inverse=True)
+    n_keys = int(kid.max()) + 1 if kid.size else 0
+    last = np.full(n_keys, -1, dtype=np.int64)
+    np.maximum.at(last, kid[:ns], np.arange(ns))
+    if (last[kid[ns:]] < 0).any():
+        return None  # a receive nobody ever sends: structural deadlock
+    key_eager = p2p.eager[last]
+    r_eager = key_eager[kid[ns:]]
 
-    # Message registry: FIFO slot i of a key pairs send i with recv i.
-    msg_transfer: List[Optional[float]] = []
-    msg_arrival: List[Optional[int]] = []   # producer node (send)
-    msg_post: List[Optional[int]] = []      # receive-post node
-    key_slots: Dict[Tuple[int, int, int], List[int]] = defaultdict(list)
+    # Message ids: FIFO slot i of a key pairs send i with receive i;
+    # ids are numbered in order of each slot's first touch.
+    fifo = np.concatenate((_cumcount(kid[:ns]), _cumcount(kid[ns:])))
+    rows = np.concatenate((sends, recvs))
+    slot_group, slot_first = _group_firsts(
+        kid * (int(fifo.max()) + 1 if fifo.size else 1) + fifo, rows)
+    mid_of = np.empty(slot_first.size, dtype=np.int64)
+    mid_of[np.argsort(slot_first)] = np.arange(slot_first.size)
+    msg = mid_of[slot_group]
+    n_msgs = slot_first.size
 
-    def msg_slot(key, i: int) -> int:
-        slots = key_slots[key]
-        while len(slots) <= i:
-            slots.append(len(msg_transfer))
-            msg_transfer.append(None)
-            msg_arrival.append(None)
-            msg_post.append(None)
-        return slots[i]
+    # Collectives: the k-th call of a kind on every rank is one node,
+    # created by its first member in walk order (the lowest rank).
+    colls = np.flatnonzero(kind >= EV_COLLECTIVE)
+    ckind = kind[colls].astype(np.int64)
+    n_kinds = len(EVENT_KINDS)
+    seq = _cumcount(ranks[colls] * n_kinds + ckind)
+    cgroup, cfirst = _group_firsts(seq * n_kinds + ckind, colls)
+    if (np.bincount(cgroup, minlength=cfirst.size) != n).any():
+        return None  # some rank never joins: structural deadlock
+    csize = trace.size_bytes
+    if (csize[colls] != csize[cfirst][cgroup]).any():
+        return None  # ragged payload: completion order decides
 
-    # Nodes as parallel lists; dependencies as one flat edge list.  The
-    # walk below runs once per trace event — the structural hot loop —
-    # hence the inlined node construction via bound ``append``s.
-    kinds: List[int] = []
-    ranks: List[int] = []
-    nmsg: List[int] = []
-    payloads: List[object] = []
-    e_src: List[int] = []
-    e_dst: List[int] = []
-    k_ap, r_ap, m_ap, p_ap = (kinds.append, ranks.append, nmsg.append,
-                              payloads.append)
-    es_ap, ed_ap = e_src.append, e_dst.append
+    # Node ids: a blocking rendezvous receive makes two nodes (post,
+    # completion), a collective one node for all its members, every
+    # other event one.
+    is_recv = kind[recvs] == EV_RECV
+    rdv_recv = recvs[is_recv & ~r_eager]
+    cnt = np.ones(n_events, dtype=np.int64)
+    cnt[rdv_recv] = 2
+    cnt[colls] = 0
+    cnt[cfirst] = 1
+    start = np.cumsum(cnt) - cnt
+    n_nodes = int(cnt.sum())
 
-    send_i: Dict[Tuple, int] = defaultdict(int)
-    recv_i: Dict[Tuple, int] = defaultdict(int)
-    colls: Dict[Tuple[str, int], int] = {}
-    coll_members: Dict[int, int] = {}
-    n_messages = 0
-    bytes_sent = 0
+    node_kind = np.empty(n_nodes, dtype=np.int64)
+    node_rank = np.empty(n_nodes, dtype=np.int64)
+    node_msg = np.full(n_nodes, -1, dtype=np.int64)
+    made = np.flatnonzero(cnt > 0)
+    node_rank[start[made]] = ranks[made]
+    node_rank[start[rdv_recv] + 1] = ranks[rdv_recv]
+    node_rank[start[cfirst]] = -1
+    node_kind[start[kind == EV_COMPUTE]] = _K_COMPUTE
+    node_kind[start[cfirst]] = _K_COLL
+    s_node = start[sends]
+    node_kind[s_node] = np.where(p2p.eager, _K_EAGER_SEND, _K_RDV_SEND)
+    node_msg[s_node] = msg[:ns]
+    r_node = start[recvs]
+    r_msg = msg[ns:]
+    node_kind[r_node] = np.where(
+        is_recv, np.where(r_eager, _K_RECV_EAGER, _K_RDV_POST),
+        _K_IRECV_POST)
+    node_msg[r_node] = r_msg
+    rdv = is_recv & ~r_eager
+    node_kind[r_node[rdv] + 1] = _K_RDV_COMPLETE
+    node_msg[r_node[rdv] + 1] = r_msg[rdv]
 
-    for r in range(n):
-        coll_seq: Dict[str, int] = defaultdict(int)
-        requests: Dict[int, Tuple[str, int]] = {}
-        prev = -1
-        for ev in events[r]:
-            if isinstance(ev, ComputePhase):
-                nid = len(kinds)
-                k_ap(_K_COMPUTE), r_ap(r), m_ap(-1), p_ap(ev)
-                if prev >= 0:
-                    es_ap(prev), ed_ap(nid)
-                prev = nid
-                continue
-            call: MpiCall = ev
-            if call.is_collective:
-                ckey = (call.kind, coll_seq[call.kind])
-                coll_seq[call.kind] += 1
-                nid = colls.get(ckey, -1)
-                if nid < 0:
-                    nid = len(kinds)
-                    k_ap(_K_COLL), r_ap(-1), m_ap(-1)
-                    p_ap((call.kind, call.size_bytes))
-                    colls[ckey] = nid
-                    coll_members[nid] = 0
-                elif payloads[nid] != (call.kind, call.size_bytes):
-                    return None  # ragged payload: completion order decides
-                coll_members[nid] += 1
-                if prev >= 0:
-                    es_ap(prev), ed_ap(nid)
-                prev = nid
-            elif call.kind in ("send", "isend"):
-                key = (r, call.peer, call.tag)
-                mid = msg_slot(key, send_i[key])
-                send_i[key] += 1
-                msg_transfer[mid] = net.transfer_ns(call.size_bytes)
-                eager = call.kind == "isend" or net.is_eager(call.size_bytes)
-                nid = len(kinds)
-                k_ap(_K_EAGER_SEND if eager else _K_RDV_SEND)
-                r_ap(r), m_ap(mid), p_ap(None)
-                if prev >= 0:
-                    es_ap(prev), ed_ap(nid)
-                prev = nid
-                msg_arrival[mid] = nid
-                if call.kind == "isend":
-                    requests[call.request] = ("s", mid)
-                n_messages += 1
-                bytes_sent += call.size_bytes
-            elif call.kind == "recv":
-                key = (call.peer, r, call.tag)
-                mid = msg_slot(key, recv_i[key])
-                recv_i[key] += 1
-                eager = key_eager.get(key)
-                if eager is None:
-                    return None  # no sender ever: structural deadlock
-                nid = len(kinds)
-                if eager:
-                    k_ap(_K_RECV_EAGER), r_ap(r), m_ap(mid), p_ap(None)
-                    if prev >= 0:
-                        es_ap(prev), ed_ap(nid)
-                    prev = nid
-                else:
-                    k_ap(_K_RDV_POST), r_ap(r), m_ap(mid), p_ap(None)
-                    if prev >= 0:
-                        es_ap(prev), ed_ap(nid)
-                    msg_post[mid] = nid
-                    k_ap(_K_RDV_COMPLETE), r_ap(r), m_ap(mid), p_ap(None)
-                    es_ap(nid), ed_ap(nid + 1)
-                    prev = nid + 1
-            elif call.kind == "irecv":
-                key = (call.peer, r, call.tag)
-                mid = msg_slot(key, recv_i[key])
-                recv_i[key] += 1
-                eager = key_eager.get(key)
-                nid = len(kinds)
-                k_ap(_K_IRECV_POST), r_ap(r), m_ap(mid), p_ap(None)
-                if prev >= 0:
-                    es_ap(prev), ed_ap(nid)
-                prev = nid
-                msg_post[mid] = nid
-                requests[call.request] = (
-                    "x" if eager is None else ("e" if eager else "r"), mid)
-            elif call.kind == "wait":
-                entry = requests.pop(call.request, None)
-                if entry is None or entry[0] == "x":
-                    return None  # unknown request / unmatched irecv
-                tag, mid = entry
-                nid = len(kinds)
-                k_ap(_K_WAIT_EAGER if tag == "e" else _K_WAIT_ARR)
-                r_ap(r), m_ap(mid), p_ap(None)
-                if prev >= 0:
-                    es_ap(prev), ed_ap(nid)
-                prev = nid
-            else:
-                return None  # unhandled kind: scalar engine raises
+    # Waits: within each (rank, request), opens and waits alternate
+    # (the trace guarantees it), so a wait's request is the event just
+    # before it in (rank, request, position) order.
+    ops = np.flatnonzero((kind == EV_ISEND) | (kind == EV_IRECV)
+                         | (kind == EV_WAIT))
+    ops = ops[np.lexsort((ops, trace.request[ops], ranks[ops]))]
+    at_wait = np.flatnonzero(kind[ops] == EV_WAIT)
+    waits, opens = ops[at_wait], ops[at_wait - 1]
+    ev_msg = np.full(n_events, -1, dtype=np.int64)
+    ev_msg[rows] = msg
+    ev_eager = np.zeros(n_events, dtype=bool)
+    ev_eager[recvs] = r_eager
+    w_node = start[waits]
+    node_kind[w_node] = np.where(
+        (kind[opens] == EV_IRECV) & ev_eager[opens], _K_WAIT_EAGER,
+        _K_WAIT_ARR)
+    node_msg[w_node] = ev_msg[opens]
 
-    for nid, count in coll_members.items():
-        if count != n:
-            return None  # some rank never joins: structural deadlock
+    arrival = np.full(n_msgs, -1, dtype=np.int64)
+    arrival[msg[:ns]] = s_node
+    post = np.full(n_msgs, -1, dtype=np.int64)
+    posts = ~is_recv | rdv
+    post[r_msg[posts]] = r_node[posts]
+    transfer = np.full(n_msgs, np.nan)
+    transfer[msg[:ns]] = p2p.transfer
 
-    # Cross-rank value edges, resolved now that every producer exists.
-    for nid, kind in enumerate(kinds):
-        if kind in (_K_RECV_EAGER, _K_RDV_COMPLETE, _K_WAIT_ARR,
-                    _K_WAIT_EAGER):
-            mid = nmsg[nid]
-            arr = msg_arrival[mid]
-            if arr is None:
-                return None  # consumes a message nobody sends
-            es_ap(arr), ed_ap(nid)
-            if kind == _K_WAIT_EAGER:
-                es_ap(msg_post[mid]), ed_ap(nid)
-        elif kind == _K_RDV_SEND:
-            post = msg_post[nmsg[nid]]
-            if post is None:
-                return None  # rendezvous sender blocks forever
-            es_ap(post), ed_ap(nid)
+    # Dependency edges: each rank's nodes in program order, then the
+    # cross-rank values (a message's arrival, a receive's post).
+    visits = np.ones(n_events, dtype=np.int64)
+    visits[rdv_recv] = 2
+    ev_node = start.copy()
+    ev_node[colls] = start[cfirst][cgroup]
+    v_ev = np.repeat(np.arange(n_events), visits)
+    v_node = ev_node[v_ev]
+    v_node[1:] += v_ev[1:] == v_ev[:-1]
+    v_rank = ranks[v_ev]
+    link = v_rank[1:] == v_rank[:-1]
+    consumers = np.flatnonzero(np.isin(
+        node_kind, (_K_RECV_EAGER, _K_RDV_COMPLETE, _K_WAIT_ARR,
+                    _K_WAIT_EAGER)))
+    c_arrival = arrival[node_msg[consumers]]
+    if (c_arrival < 0).any():
+        return None  # consumes a message nobody sends
+    w_eager = consumers[node_kind[consumers] == _K_WAIT_EAGER]
+    rdv_sends = np.flatnonzero(node_kind == _K_RDV_SEND)
+    rdv_post = post[node_msg[rdv_sends]]
+    if (rdv_post < 0).any():
+        return None  # rendezvous sender blocks forever
+    e_src = np.concatenate((v_node[:-1][link], c_arrival,
+                            post[node_msg[w_eager]], rdv_post))
+    e_dst = np.concatenate((v_node[1:][link], consumers, w_eager,
+                            rdv_sends))
 
+    payloads: List[object] = [None] * n_nodes
+    comp = np.flatnonzero(kind == EV_COMPUTE)
+    phases = trace.phases
+    for nid, ph in zip(start[comp].tolist(), trace.phase[comp].tolist()):
+        payloads[nid] = phases[ph]
+    for nid, k, b in zip(start[cfirst].tolist(), kind[cfirst].tolist(),
+                         csize[cfirst].tolist()):
+        payloads[nid] = (EVENT_KINDS[k], b)
+    return _assemble_tape(n, node_kind, node_rank, node_msg, payloads,
+                          e_src, e_dst, transfer, n_events, ns,
+                          int(trace.size_bytes[sends].sum()))
+
+
+def _assemble_tape(n: int, kind_arr: np.ndarray, rank_arr: np.ndarray,
+                   nmsg_arr: np.ndarray, payloads: Sequence[object],
+                   e_src: np.ndarray, e_dst: np.ndarray,
+                   tr_arr: np.ndarray, n_events: int, n_messages: int,
+                   bytes_sent: int) -> Optional[_Tape]:
+    """Level, group and lay out a resolved replay DAG.
+
+    Nodes are given as parallel arrays (kind, rank — -1 for a
+    collective — and message id, -1 for none) plus per-node payloads
+    (the phase of a compute node, ``(kind, size)`` of a collective);
+    dependencies as the flat edge list ``e_src -> e_dst``; ``tr_arr``
+    is each message's transfer time (NaN when nothing sends it).
+    Returns ``None`` on a dependency cycle or a buffer slot with too
+    many readers.
+    """
     # Level the DAG (depth = 1 + max over predecessors) with Kahn waves
     # vectorized over the flat edge list: each wave expands the whole
     # zero-indegree frontier at once.  Total work is O(edges) spread
     # over ~levels vector calls instead of O(edges) dict/list hops.
-    n_nodes = len(kinds)
+    n_nodes = kind_arr.size
     depth = np.zeros(n_nodes, dtype=np.int64)
-    if e_src:
-        src = np.asarray(e_src, dtype=np.int64)
-        dst = np.asarray(e_dst, dtype=np.int64)
+    if e_src.size:
+        src = e_src
+        dst = e_dst
         e_order = np.argsort(src, kind="stable")
         dst_s = dst[e_order]
         starts = np.searchsorted(src, np.arange(n_nodes + 1),
@@ -797,11 +854,6 @@ def _build_tape(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
     # slice serves instead — the driver then runs its in-place
     # whole-matrix kernels (the common case: bulk-synchronous apps keep
     # all ranks at the same depth).
-    kind_arr = np.asarray(kinds, dtype=np.int64)
-    rank_arr = np.asarray(ranks, dtype=np.int64)
-    nmsg_arr = np.asarray(nmsg, dtype=np.int64)
-    tr_arr = np.asarray([np.nan if t is None else t for t in msg_transfer],
-                        dtype=np.float64)
     order = np.lexsort((kind_arr, depth))
     d_s = depth[order]
     k_s = kind_arr[order]
@@ -828,7 +880,7 @@ def _build_tape(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
     # were ~40% of the driver's memory traffic.  Never-read slots
     # (unreceived sends, unwaited irecvs) get the leftover ids past
     # every reader's run, keeping producer scatters unconditional.
-    n_msgs = len(msg_transfer)
+    n_msgs = tr_arr.size
     arr_map1 = np.full(n_msgs, -1, dtype=np.int64)
     arr_map2 = np.full(n_msgs, -1, dtype=np.int64)
     post_map = np.full(n_msgs, -1, dtype=np.int64)
@@ -924,20 +976,7 @@ def _build_tape(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
 #: the trace object itself (keeping its ``id`` valid for the entry's
 #: lifetime); a ``None`` tape records that the trace needs the
 #: worklist-driver fallback, so the failed build isn't repeated either.
-#: The :func:`_order_free` scan is cached the same way.
 _TAPE_CACHE: LruDict = LruDict(8, eviction_counter="replay.tape.evictions")
-_ORDER_FREE_CACHE: LruDict = LruDict(
-    64, eviction_counter="replay.tape.evictions")
-
-
-def _order_free_cached(trace: BurstTrace, net: NetworkConfig) -> bool:
-    key = (id(trace), net)
-    entry = _ORDER_FREE_CACHE.get(key)
-    if entry is not None and entry[0] is trace:
-        return entry[1]
-    free = _order_free(trace, net)
-    _ORDER_FREE_CACHE[key] = (trace, free)
-    return free
 
 
 def _tape_for(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
@@ -945,9 +984,11 @@ def _tape_for(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
     entry = _TAPE_CACHE.get(key)
     if entry is not None and entry[0] is trace:
         return entry[1]
-    tape = _build_tape(trace, net)
+    obs = get_metrics()
+    with obs.span("replay.tape.build"):
+        tape = _build_tape(trace, net)
     _TAPE_CACHE[key] = (trace, tape)
-    get_metrics().inc("replay.tape.builds")
+    obs.inc("replay.tape.builds")
     return tape
 
 
@@ -1327,7 +1368,7 @@ def replay_batch(
     results: List[Optional[ReplayResult]] = [None] * n_configs
     peeled_mask = np.zeros(n_configs, dtype=bool)
 
-    order_free = _order_free_cached(trace, net)
+    order_free = _order_free(trace, net)
     tape = None
     if order_free and array_driver:
         tape = _tape_for(trace, net)

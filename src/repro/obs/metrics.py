@@ -196,6 +196,11 @@ def summarize(snap: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
       (structural tape, one NumPy pass per level group instead of one
       Python step per event) and by the event-at-a-time worklist
       fallback driver;
+    * ``burst_traces_built`` / ``burst_trace_build_s`` — burst traces
+      generated on a ``Musa`` trace-cache miss (``trace.burst`` span),
+      and ``replay_tapes_built`` / ``replay_tape_build_s`` — structural
+      replay tapes resolved (``replay.tape.build`` span): the two
+      set-up layers a replay-mode sweep pays before pricing a point;
     * ``miss_batch_geometries`` — distinct cache geometries evaluated
       by the batched set-associative miss model (one 2-D pass per
       kernel instead of one scalar call per level per config);
@@ -276,6 +281,11 @@ def summarize(snap: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         "replay_worklist_events": c.get("replay.batch.worklist_events", 0),
         "replay_forked_groups": c.get("replay.batch.forked_groups", 0),
         "replay_peeled_configs": c.get("replay.batch.peeled_configs", 0),
+        "burst_traces_built": t.get("trace.burst", {}).get("count", 0),
+        "burst_trace_build_s": t.get("trace.burst", {}).get("total_s", 0.0),
+        "replay_tapes_built": c.get("replay.tape.builds", 0),
+        "replay_tape_build_s": t.get("replay.tape.build", {}).get(
+            "total_s", 0.0),
         "miss_batch_geometries": c.get("miss.batch.geometries", 0),
         "sched_batch_fast": c.get("sched.batch.fast", 0),
         "sched_batch_fallbacks": c.get("sched.batch.fallbacks", 0),

@@ -72,6 +72,11 @@ from ..obs import get_metrics
 
 __all__ = ["QueryError", "ServeState"]
 
+#: Largest rank count a query may ask for (16x the paper's 256): every
+#: mode allocates per-rank state and a replay query builds a trace of
+#: that many ranks, all under the engine lock.
+_MAX_RANKS = 4096
+
 
 class QueryError(ValueError):
     """A malformed or unanswerable query (HTTP 400, not a server bug)."""
@@ -176,9 +181,11 @@ class ServeState:
         space = query.get("space", "full")
         if space not in ("full", "smoke"):
             raise QueryError(f"space must be full|smoke, got {space!r}")
-        ranks = int(query.get("ranks", 256))
-        if ranks < 1:
-            raise QueryError("ranks must be >= 1")
+        ranks = query.get("ranks", 256)
+        if (not isinstance(ranks, int) or isinstance(ranks, bool)
+                or not 1 <= ranks <= _MAX_RANKS):
+            raise QueryError(f"ranks must be an integer in 1..{_MAX_RANKS}, "
+                             f"got {ranks!r}")
         subset = dict(query.get("subset") or {})
         for axis in subset:
             if axis not in AXES:

@@ -140,6 +140,11 @@ class MpiCall:
             raise ValueError(f"{self.kind} requires a request id")
         if self.kind == "wait" and self.request is None:
             raise ValueError("wait requires a request id")
+        # -1 stands for "none" in a trace's event columns.
+        if self.peer is not None and self.peer < 0:
+            raise ValueError("peer must be a non-negative rank")
+        if self.request is not None and self.request < 0:
+            raise ValueError("request ids must be non-negative")
 
     @property
     def is_collective(self) -> bool:

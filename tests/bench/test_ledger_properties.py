@@ -180,8 +180,16 @@ def test_verdict_math_regression_and_ok():
 
 
 def test_verdict_no_baseline_passes():
-    v = check([_result()], Ledger(), threshold=0.0, calib_s=1.0)[0]
+    # Only the smoke tier lets an unbaselined benchmark through.
+    v = check([_result(tier="smoke")], Ledger(), threshold=0.0,
+              calib_s=1.0)[0]
     assert v.status == "no-baseline" and not v.failed
+
+
+def test_verdict_no_baseline_fails_full_tier():
+    v = check([_result(tier="full")], Ledger(), threshold=0.0,
+              calib_s=1.0)[0]
+    assert v.status == "no-baseline" and v.failed
 
 
 def test_verdict_oracle_failure_fails_regardless_of_speed():

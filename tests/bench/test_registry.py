@@ -52,7 +52,7 @@ def test_required_counters_cover_the_pinned_families():
 
 
 @pytest.mark.parametrize("bid", ["micro.miss_model", "micro.phase_sched",
-                                 "micro.tape_replay",
+                                 "micro.tape_replay", "micro.trace_tape",
                                  "micro.bus_arbitration",
                                  "micro.event_engine"])
 def test_micro_smoke_oracles_green(bid):

@@ -219,3 +219,42 @@ def test_sched_rounds_count_rounds_not_tasks():
     assert 0 < rounds < n_tasks / 4
     assert summarize(reg.snapshot())["derived"]["sched_batch_rounds"] \
         == rounds
+
+
+def test_setup_spans_one_per_build_and_none_warm():
+    """``trace.burst`` times each burst-trace generation and
+    ``replay.tape.build`` each tape build: one span per build on a cold
+    replay sweep, none on a warm repeat (both come from caches)."""
+    from repro.analysis.report import format_metrics_summary
+
+    sweep_mod._BATCH_EVALUATORS.pop("hydro", None)
+    sweep_mod._MUSA_CACHE.pop("hydro", None)
+    reg = MetricsRegistry()
+    prev = get_metrics()
+    set_metrics(reg)
+    try:
+        run_sweep(["hydro"], smoke_design_space(), processes=1,
+                  mode="replay", n_ranks=12, metrics=reg)
+        cold = reg.snapshot()
+        run_sweep(["hydro"], smoke_design_space(), processes=1,
+                  mode="replay", n_ranks=12, metrics=reg)
+        warm = reg.snapshot()
+    finally:
+        set_metrics(prev)
+    timers, counters = cold["timers"], cold["counters"]
+    assert timers["trace.burst"]["count"] == 1
+    builds = counters["replay.tape.builds"]
+    assert builds >= 1
+    assert timers["replay.tape.build"]["count"] == builds
+    assert warm["timers"]["trace.burst"] == timers["trace.burst"]
+    assert warm["timers"]["replay.tape.build"] == timers["replay.tape.build"]
+    assert warm["counters"]["replay.tape.builds"] == builds
+    summary = summarize(cold)
+    derived = summary["derived"]
+    assert derived["burst_traces_built"] == 1
+    assert derived["replay_tapes_built"] == builds
+    assert derived["burst_trace_build_s"] == timers["trace.burst"]["total_s"]
+    assert derived["replay_tape_build_s"] == \
+        timers["replay.tape.build"]["total_s"]
+    text = format_metrics_summary(summary)
+    assert "burst traces built" in text and "replay tapes built" in text

@@ -99,6 +99,22 @@ def test_bad_query_maps_to_400(server):
         client.query({"kind": "nope"})
 
 
+@pytest.mark.parametrize("ranks", ["abc", 2.5, True, 0, 4097, 10**9])
+def test_bad_ranks_is_400_and_moves_no_engine_counter(server, ranks):
+    srv, reg = server
+    client = ServeClient(port=srv.port)
+    status, body = client.raw_query({"kind": "sweep", "apps": ["spmz"],
+                                     "space": "smoke", "mode": "replay",
+                                     "ranks": ranks})
+    assert status == 400
+    assert "ranks" in json.loads(body)["error"]
+    snap = reg.snapshot()
+    for name in ("musa.simulate_node", "phase_sim.calls", "store.miss",
+                 "replay.tape.builds"):
+        assert snap["counters"].get(name, 0) == 0, name
+    assert "trace.burst" not in snap["timers"]
+
+
 def test_unknown_route_404_and_method_405(server):
     srv, _ = server
     client = ServeClient(port=srv.port)

@@ -24,6 +24,7 @@ from repro.core.canon import canonical_dumps
 from repro.core.frame import FrameRow, ResultFrame
 from repro.core.store import ResultStore
 from repro.serve import QueryError, ServeState
+from repro.serve import state as serve_state
 from repro.obs import MetricsRegistry, set_metrics
 
 from ..analysis.optimize_oracle import optimize_node_loop
@@ -329,6 +330,27 @@ class TestQueryValidation:
     def test_malformed_queries_rejected(self, state, query):
         with pytest.raises(QueryError):
             state.handle(query)
+
+    @pytest.mark.parametrize("ranks", [
+        "abc", "256", 2.5, 256.0, True, None, [256], 0, -1, 4097, 10**9])
+    def test_bad_ranks_rejected_before_the_engine(self, state,
+                                                  fresh_metrics, ranks):
+        # Only JSON integers in 1.._MAX_RANKS: a string used to escape as
+        # a bare ValueError (HTTP 500), a float was truncated, and an
+        # unbounded count allocated per-rank state under the engine lock.
+        with pytest.raises(QueryError, match="ranks"):
+            state.handle({"kind": "sweep", "apps": ["spmz"],
+                          "space": "smoke", "mode": "replay",
+                          "ranks": ranks})
+        counters = fresh_metrics.snapshot()["counters"]
+        for name in ENGINE_COUNTERS + ("store.miss", "trace.burst"):
+            assert counters.get(name, 0) == 0, name
+        assert "trace.burst" not in fresh_metrics.snapshot()["timers"]
+
+    @pytest.mark.parametrize("ranks", [1, 256, serve_state._MAX_RANKS])
+    def test_integer_ranks_in_range_accepted(self, state, ranks):
+        assert state._normalize({"kind": "sweep", "ranks": ranks})[
+            "ranks"] == ranks
 
     def test_normalization_coalesces_default_spellings(self, state,
                                                        fresh_metrics):

@@ -972,24 +972,34 @@ def _assemble_tape(n: int, kind_arr: np.ndarray, rank_arr: np.ndarray,
 
 
 #: Tapes are structural — they depend only on ``(trace, net)``, never
-#: on configurations — so they are shared across batches.  The key pins
-#: the trace object itself (keeping its ``id`` valid for the entry's
-#: lifetime); a ``None`` tape records that the trace needs the
-#: worklist-driver fallback, so the failed build isn't repeated either.
+#: on configurations — so they are shared across batches, together with
+#: the :func:`_order_free` verdict they rest on (a few milliseconds of
+#: array passes at paper scale: worth skipping on every warm batch).
+#: The key pins the trace object itself (keeping its ``id`` valid for
+#: the entry's lifetime); a ``None`` tape records that the trace needs
+#: the worklist-driver fallback (or, when not order-free, the lockstep
+#: driver), so a failed build isn't repeated either.
 _TAPE_CACHE: LruDict = LruDict(8, eviction_counter="replay.tape.evictions")
 
 
-def _tape_for(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
+def _tape_for(trace: BurstTrace,
+              net: NetworkConfig) -> Tuple[bool, Optional[_Tape]]:
+    """``(order_free, tape)`` for ``trace`` on ``net``; the tape is
+    built only for an order-free pair (and is ``None`` when that build
+    bails out)."""
     key = (id(trace), net)
     entry = _TAPE_CACHE.get(key)
     if entry is not None and entry[0] is trace:
-        return entry[1]
-    obs = get_metrics()
-    with obs.span("replay.tape.build"):
-        tape = _build_tape(trace, net)
-    _TAPE_CACHE[key] = (trace, tape)
-    obs.inc("replay.tape.builds")
-    return tape
+        return entry[1], entry[2]
+    order_free = _order_free(trace, net)
+    tape = None
+    if order_free:
+        obs = get_metrics()
+        with obs.span("replay.tape.build"):
+            tape = _build_tape(trace, net)
+        obs.inc("replay.tape.builds")
+    _TAPE_CACHE[key] = (trace, order_free, tape)
+    return order_free, tape
 
 
 def _run_array_tape(
@@ -1368,12 +1378,11 @@ def replay_batch(
     results: List[Optional[ReplayResult]] = [None] * n_configs
     peeled_mask = np.zeros(n_configs, dtype=bool)
 
-    order_free = _order_free(trace, net)
-    tape = None
-    if order_free and array_driver:
-        tape = _tape_for(trace, net)
-        if tape is None:
-            obs.inc("replay.batch.array_fallbacks")
+    order_free, tape = _tape_for(trace, net)
+    if not array_driver:
+        tape = None
+    elif order_free and tape is None:
+        obs.inc("replay.batch.array_fallbacks")
 
     with obs.span("replay.batch.run"):
         if tape is not None:

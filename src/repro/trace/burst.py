@@ -155,6 +155,11 @@ class RankTrace:
                    if c.kind in {"send", "isend"})
 
 
+def _event_ranks(offsets: np.ndarray) -> np.ndarray:
+    return np.repeat(np.arange(offsets.size - 1, dtype=np.int64),
+                     np.diff(offsets))
+
+
 def _rank_view(rank: int, events: Tuple[RankEvent, ...]) -> RankTrace:
     """A :class:`RankTrace` over events a validated trace already holds
     (skips re-validation)."""
@@ -209,19 +214,23 @@ class BurstTrace:
 
     def _set_columns(self, app, offsets, kind, peer, size_bytes, tag,
                      request, phase, phases, n_iterations) -> None:
-        def column(values, dtype=np.int64) -> np.ndarray:
-            arr = np.array(values, dtype=dtype)
+        def column(values) -> np.ndarray:
+            arr = np.asarray(values)
             if arr.ndim != 1:
                 raise ValueError("trace columns must be 1-d")
+            if arr.size and arr.dtype.kind not in "iub":
+                raise TypeError("trace columns must hold integers, got "
+                                f"{arr.dtype}")
+            arr = arr.astype(np.int64)
             arr.setflags(write=False)
             return arr
 
         offsets = column(offsets)
-        kind = np.array(kind, dtype=np.int64)
+        kind = column(kind)
         cols = [column(c) for c in (peer, size_bytes, tag, request, phase)]
         n_events = kind.size
-        if kind.ndim != 1 or any(c.size != n_events for c in cols):
-            raise ValueError("trace columns must be 1-d and of equal length")
+        if any(c.size != n_events for c in cols):
+            raise ValueError("trace columns must be of equal length")
         if offsets.size < 2:
             raise ValueError("trace needs at least one rank")
         if (offsets[0] != 0 or offsets[-1] != n_events
@@ -259,7 +268,7 @@ class BurstTrace:
         for p in phases:
             if not isinstance(p, ComputePhase):
                 raise TypeError(f"unexpected event type {type(p).__name__}")
-        ranks = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        ranks = _event_ranks(offsets)
         _check_requests(ranks, kind, request)
         out = (peer < -1) | (peer >= n)
         if out.any():
@@ -292,8 +301,7 @@ class BurstTrace:
 
     def event_ranks(self) -> np.ndarray:
         """The rank of every event row."""
-        return np.repeat(np.arange(self.n_ranks, dtype=np.int64),
-                         np.diff(self.offsets))
+        return _event_ranks(self.offsets)
 
     @property
     def ranks(self) -> Tuple[RankTrace, ...]:

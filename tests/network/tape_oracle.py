@@ -35,7 +35,7 @@ from repro.network.replay_batch import (
 from repro.trace.burst import BurstTrace
 from repro.trace.events import ComputePhase, MpiCall
 
-__all__ = ["walk_tape"]
+__all__ = ["order_free_loop", "walk_tape"]
 
 
 def walk_tape(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
@@ -212,3 +212,18 @@ def walk_tape(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
         np.asarray([np.nan if t is None else t for t in msg_transfer],
                    dtype=np.float64),
         n_events, n_messages, bytes_sent)
+
+
+def order_free_loop(trace: BurstTrace, net: NetworkConfig) -> bool:
+    """``_order_free`` as the per-event scan it used to be."""
+    if net.n_buses > 0:
+        return False
+    classes: Dict[Tuple[int, int, int], bool] = {}
+    for rt in trace.ranks:
+        for ev in rt.events:
+            if isinstance(ev, MpiCall) and ev.kind in ("send", "isend"):
+                key = (rt.rank, ev.peer, ev.tag)
+                eager = ev.kind == "isend" or net.is_eager(ev.size_bytes)
+                if classes.setdefault(key, eager) != eager:
+                    return False
+    return True

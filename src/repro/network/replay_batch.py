@@ -694,15 +694,16 @@ def _build_tape(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
     cgroup, cfirst = _group_firsts(seq * n_kinds + ckind, colls)
     if (np.bincount(cgroup, minlength=cfirst.size) != n).any():
         return None  # some rank never joins: structural deadlock
-    csize = trace.size_bytes
-    if (csize[colls] != csize[cfirst][cgroup]).any():
+    size = trace.size_bytes
+    if (size[colls] != size[cfirst][cgroup]).any():
         return None  # ragged payload: completion order decides
 
     # Node ids: a blocking rendezvous receive makes two nodes (post,
     # completion), a collective one node for all its members, every
     # other event one.
     is_recv = kind[recvs] == EV_RECV
-    rdv_recv = recvs[is_recv & ~r_eager]
+    rdv = is_recv & ~r_eager
+    rdv_recv = recvs[rdv]
     cnt = np.ones(n_events, dtype=np.int64)
     cnt[rdv_recv] = 2
     cnt[colls] = 0
@@ -728,9 +729,9 @@ def _build_tape(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
         is_recv, np.where(r_eager, _K_RECV_EAGER, _K_RDV_POST),
         _K_IRECV_POST)
     node_msg[r_node] = r_msg
-    rdv = is_recv & ~r_eager
-    node_kind[r_node[rdv] + 1] = _K_RDV_COMPLETE
-    node_msg[r_node[rdv] + 1] = r_msg[rdv]
+    completes = r_node[rdv] + 1
+    node_kind[completes] = _K_RDV_COMPLETE
+    node_msg[completes] = r_msg[rdv]
 
     # Waits: within each (rank, request), opens and waits alternate
     # (the trace guarantees it), so a wait's request is the event just
@@ -791,11 +792,11 @@ def _build_tape(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
     for nid, ph in zip(start[comp].tolist(), trace.phase[comp].tolist()):
         payloads[nid] = phases[ph]
     for nid, k, b in zip(start[cfirst].tolist(), kind[cfirst].tolist(),
-                         csize[cfirst].tolist()):
+                         size[cfirst].tolist()):
         payloads[nid] = (EVENT_KINDS[k], b)
     return _assemble_tape(n, node_kind, node_rank, node_msg, payloads,
                           e_src, e_dst, transfer, n_events, ns,
-                          int(trace.size_bytes[sends].sum()))
+                          int(size[sends].sum()))
 
 
 def _assemble_tape(n: int, kind_arr: np.ndarray, rank_arr: np.ndarray,

@@ -45,6 +45,16 @@ def test_check_fails_on_injected_slowdown(seeded_ledger):
     assert rc == 1
 
 
+def test_missing_baseline_fails_full_tier_only(tmp_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    rc = repro_main(["bench", *BENCH, "--check", "--ledger", str(empty)])
+    assert rc == 0  # smoke tier: an unbaselined benchmark still passes
+    full = [a for a in BENCH if a != "--smoke"]
+    rc = repro_main(["bench", *full, "--check", "--ledger", str(empty)])
+    assert rc == 1  # full tier: unmeasured is not passing
+
+
 def test_injected_entries_never_become_baselines(seeded_ledger, tmp_path):
     path = tmp_path / "ledger.jsonl"
     rc = repro_main(["bench", *BENCH, "--append", "--inject-slowdown",

@@ -119,7 +119,9 @@ def optimize_node(
         feasible[cfg[~(cols["energy_j"] <= cons.energy_cap_j)]] = False
     configs = list(cfg_ids)
     if cons.min_frequency_ghz is not None:
-        feasible &= [c[_FREQ] >= cons.min_frequency_ghz for c in configs]
+        feasible &= np.fromiter(
+            (c[_FREQ] >= cons.min_frequency_ghz for c in configs), bool,
+            len(configs))
     if cons.area_cap_mm2 is not None:
         am = area_model or AreaModel()
         for c in np.flatnonzero(feasible).tolist():

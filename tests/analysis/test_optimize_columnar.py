@@ -143,6 +143,17 @@ class TestAgainstLoopOracle:
             assert choice.n_feasible == 2
             _assert_agree(rs)
 
+    def test_min_frequency_with_no_requested_app_records(self):
+        # No record holds a requested app, so there are no configs to
+        # filter: a clean "no feasible" error, not a dtype TypeError.
+        rec = dict({k: v[0] for k, v in _AXES.items()}, app="lulesh",
+                   time_ns=1.0, energy_j=1.0, power_total_w=1.0)
+        for rs in (ResultSet([rec]), _frame_backed([rec])):
+            for fn in (optimize_node, optimize_node_loop):
+                with pytest.raises(ValueError, match="no feasible"):
+                    fn(rs, apps=["hydro"],
+                       constraints=Constraints(min_frequency_ghz=2.0))
+
     def test_app_order_within_config_follows_appearance(self):
         # Per-config app order differs between configs; the score of
         # each is the geomean in its own appearance order.
